@@ -995,9 +995,8 @@ fn plan_cache_runs(onto: &Ontology) -> Vec<LatencyRun> {
         store.apply(&b.inserts, &b.deletes).unwrap();
     }
     // A five-pattern chain off a bound subject, with two type checks.
-    // The cold path re-parses and re-orders it per call and the
-    // structural heuristic starts from the type patterns' scans; the
-    // compiled plan starts from the bound subject's exact counts.
+    // Both paths run the same plan, starting from the bound subject's
+    // probe; the cold path re-parses and re-compiles it per call.
     let text = "PREFIX sosa: <http://www.w3.org/ns/sosa/> \
                 SELECT ?sensor ?obs ?r WHERE { \
                 <http://engie.example/station/1> sosa:hosts ?sensor . \

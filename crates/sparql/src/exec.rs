@@ -1,13 +1,17 @@
-//! Left-deep query execution over the SuccinctEdge store (§5.2).
+//! Left-deep query execution over the SuccinctEdge store (§5.2): the
+//! options, the answer set, and the one triple-pattern matcher.
 //!
-//! The executor walks the TP order produced by Algorithm 1, propagating
-//! variable bindings from one TP to the next ("one of our joining
-//! approaches amounts to propagate variable assignments from one TP to
-//! another"). When the current intermediate relation is joined through its
-//! subject against a fresh `(?s, p, ?o)` / `(?s, p, o)` pattern, the
-//! PSO order of the layers makes both sides subject-sorted and a **merge
-//! join** replaces the per-row lookups (§5.2, Figure 7); otherwise
-//! index-nested-loop propagation is used.
+//! [`execute`] compiles a query into a [`crate::ir`] plan and runs it.
+//! Each plan step matches one TP with [`eval_pattern`] in the order
+//! Algorithm 1 chose, propagating variable bindings from one TP to the
+//! next ("one of our joining approaches amounts to propagate variable
+//! assignments from one TP to another"). When the current intermediate
+//! relation is joined through its subject against a fresh `(?s, p, ?o)` /
+//! `(?s, p, o)` pattern, the PSO order of the layers makes both sides
+//! subject-sorted and a **merge join** replaces the per-row lookups
+//! (§5.2, Figure 7); otherwise index-nested-loop propagation is used. The
+//! continuous queries' delta rule (`se-stream::incremental`) extends its
+//! rows with the same matcher.
 //!
 //! With reasoning enabled, constant concepts and properties evaluate
 //! through their LiteMat intervals — no materialization, no UNION
@@ -15,12 +19,12 @@
 
 use crate::ast::{GroupPattern, Query, TermPattern, TriplePattern};
 use crate::error::QueryError;
-use crate::expr::{eval, Env, EvalValue};
-use crate::optimizer::order_patterns;
+use crate::expr::{Env, EvalValue};
+use crate::ir::{compile, execute_plan, normalize};
 use se_core::{TripleSource, Value};
 use se_litemat::IdInterval;
 use se_rdf::Term;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Execution options (the ablation switches of the benchmark suite).
 #[derive(Debug, Clone)]
@@ -95,40 +99,16 @@ pub enum Slot {
 /// column layout (see [`group_var_index`]).
 pub type Row = Vec<Option<Slot>>;
 
-/// Executes a parsed query.
+/// Executes a parsed query: an uncached [`compile`] followed by
+/// [`execute_plan`], the one executor every query entry point runs.
 pub fn execute<S: TripleSource + ?Sized>(
     store: &S,
     query: &Query,
     options: &QueryOptions,
 ) -> Result<ResultSet, QueryError> {
-    let out_vars = query.output_variables();
-    let mut rows: Vec<Vec<Option<Term>>> = Vec::new();
-    for group in &query.groups {
-        let group_rows = execute_group(store, group, options)?;
-        // Project group rows onto the output variables.
-        for (vars, row) in group_rows {
-            let mut projected = Vec::with_capacity(out_vars.len());
-            for v in &out_vars {
-                let cell = vars
-                    .get(v.as_str())
-                    .and_then(|&i| row[i].as_ref())
-                    .map(|slot| slot_to_term(store, slot));
-                projected.push(cell);
-            }
-            rows.push(projected);
-        }
-    }
-    if query.distinct {
-        let mut seen = HashSet::new();
-        rows.retain(|r| seen.insert(format!("{r:?}")));
-    }
-    if let Some(limit) = query.limit {
-        rows.truncate(limit);
-    }
-    Ok(ResultSet {
-        variables: out_vars,
-        rows,
-    })
+    let plan = compile(query, store, options, 0);
+    let (_, consts) = normalize(query);
+    execute_plan(store, &plan, &consts, options)
 }
 
 /// Decodes one intermediate-relation slot back to an RDF term.
@@ -141,12 +121,10 @@ pub fn slot_to_term<S: TripleSource + ?Sized>(store: &S, slot: &Slot) -> Term {
     }
 }
 
-type GroupRows<'a> = Vec<(HashMap<&'a str, usize>, Row)>;
-
 /// The column layout of one group's intermediate relation: TP variables
-/// in first-occurrence order, then BIND variables. Shared by the full
-/// executor and `se-stream`'s incremental delta evaluator, so both build
-/// rows with identical shapes.
+/// in first-occurrence order, then BIND variables. Shared by the compiled
+/// plan and `se-stream`'s incremental delta evaluator, so both build rows
+/// with identical shapes.
 pub fn group_var_index(group: &GroupPattern) -> HashMap<&str, usize> {
     let mut var_index: HashMap<&str, usize> = HashMap::new();
     for tp in &group.patterns {
@@ -162,54 +140,8 @@ pub fn group_var_index(group: &GroupPattern) -> HashMap<&str, usize> {
     var_index
 }
 
-/// Evaluates one group: BGP (ordered), then BINDs, then FILTERs.
-fn execute_group<'a, S: TripleSource + ?Sized>(
-    store: &S,
-    group: &'a GroupPattern,
-    options: &QueryOptions,
-) -> Result<GroupRows<'a>, QueryError> {
-    let var_index = group_var_index(group);
-    let n_cols = var_index.len();
-
-    // ---- BGP ---------------------------------------------------------------
-    let order = if options.optimize {
-        order_patterns(&group.patterns, store, options.reasoning)
-    } else {
-        (0..group.patterns.len()).collect()
-    };
-    let mut rows: Vec<Row> = vec![vec![None; n_cols]];
-    for &tp_idx in &order {
-        let tp = &group.patterns[tp_idx];
-        rows = eval_pattern(store, tp, rows, &var_index, options)?;
-        if rows.is_empty() {
-            break;
-        }
-    }
-
-    // ---- BIND (in order), then FILTER ---------------------------------------
-    if !group.binds.is_empty() {
-        for row in &mut rows {
-            for b in &group.binds {
-                let env = row_env(store, row, &var_index);
-                if let Ok(v) = eval(&b.expr, &env) {
-                    let col = var_index[b.var.as_str()];
-                    row[col] = Some(Slot::Term(v.into_term()));
-                }
-            }
-        }
-    }
-    for f in &group.filters {
-        rows.retain(|row| {
-            let env = row_env(store, row, &var_index);
-            eval(f, &env).and_then(|v| v.truthy()).unwrap_or(false)
-        });
-    }
-    Ok(rows.into_iter().map(|r| (var_index.clone(), r)).collect())
-}
-
-/// Builds the expression environment of one intermediate row — shared by
-/// the interpreted executor and the compiled-IR executor (`crate::ir`),
-/// so BIND/FILTER evaluate identically on both paths.
+/// Builds the expression environment of one intermediate row, for the
+/// plan's BIND and FILTER steps.
 pub fn row_env<'a, S: TripleSource + ?Sized>(
     store: &S,
     row: &Row,

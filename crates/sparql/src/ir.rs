@@ -20,19 +20,19 @@
 //!   own constants into the same plan.
 //!
 //! Join order is chosen at compile time by
-//! [`order_patterns_by_cardinality`](crate::optimizer::order_patterns_by_cardinality)
-//! from the O(1)-ish rank/select statistics the store answers
-//! ([`estimate`](crate::optimizer::estimate)), instead of the
-//! interpreted path's structural Heuristic-1 ordering. Because estimates
+//! [`order_patterns`](crate::optimizer::order_patterns) — Algorithm 1,
+//! the one planner — from the O(1)-ish rank/select statistics the store
+//! answers ([`estimate`](crate::optimizer::estimate)). Because estimates
 //! drift as the store ingests, each plan records the store epoch it was
 //! costed at and is lazily **re-costed** (re-ordered, not re-parsed)
 //! once [`PlanCache::set_epoch`] advances past a staleness threshold.
 //!
-//! Pattern matching itself is delegated to [`exec::eval_pattern`] — the
-//! exact code the interpreted executor runs — so a compiled plan and the
-//! interpreted `execute` agree on every answer by construction; the only
-//! divergence a caller can observe is row *order* under `LIMIT`, where
-//! either prefix is a valid SPARQL answer.
+//! [`execute_plan`] is the one executor: the uncached
+//! [`exec::execute`](crate::exec::execute) compiles and runs a plan too,
+//! so a cached and an uncached run of a query differ only in what they
+//! skip, never in how they match. Pattern matching itself is
+//! [`exec::eval_pattern`], the matcher the delta rule of
+//! `se-stream::incremental` shares.
 
 use crate::ast::{Expr, Query, TermPattern, TriplePattern};
 use crate::error::QueryError;
@@ -40,7 +40,7 @@ use crate::exec::{
     eval_pattern, group_var_index, row_env, slot_to_term, QueryOptions, ResultSet, Row, Slot,
 };
 use crate::expr::eval;
-use crate::optimizer::order_patterns_by_cardinality;
+use crate::optimizer::order_patterns;
 use crate::parser::parse_query;
 use se_core::TripleSource;
 use se_rdf::Term;
@@ -93,9 +93,10 @@ pub enum PlanStep {
 pub struct CompiledPlan {
     shape: String,
     /// The source AST (first query compiled for this shape) — kept so a
-    /// re-cost can re-order without re-parsing. Constants in it are
-    /// irrelevant: hollowed positions are overwritten at bind time and
-    /// cardinality estimates never look at them.
+    /// re-cost can re-order without re-parsing. The values of its
+    /// constants are irrelevant: hollowed positions are overwritten at
+    /// bind time, and the planner looks only at which positions are
+    /// constant.
     query: Query,
     steps: Vec<PlanStep>,
     n_slots: usize,
@@ -219,8 +220,8 @@ pub fn normalize(query: &Query) -> (String, Vec<Term>) {
     (shape, consts)
 }
 
-/// Compiles a parsed query into a flat plan: join order from the store's
-/// cardinality statistics (textual when `options.optimize` is off),
+/// Compiles a parsed query into a flat plan: join order from
+/// [`order_patterns`] (textual when `options.optimize` is off),
 /// constants hollowed into slots, epoch recorded for lazy re-costing.
 pub fn compile<S: TripleSource + ?Sized>(
     query: &Query,
@@ -256,7 +257,7 @@ pub fn compile<S: TripleSource + ?Sized>(
             vars[i] = (*name).to_string();
         }
         let order: Vec<usize> = if options.optimize {
-            order_patterns_by_cardinality(&group.patterns, store, options.reasoning)
+            order_patterns(&group.patterns, store, options.reasoning)
         } else {
             (0..group.patterns.len()).collect()
         };
@@ -357,9 +358,8 @@ fn execute_plan_inner<S: TripleSource + ?Sized>(
                 o_slot,
                 src,
             } => {
-                // An empty working set stays empty — mirrors the
-                // interpreted executor's early break (in particular, a
-                // later unsupported pattern is then never reached).
+                // An empty working set stays empty: a later pattern,
+                // even an unsupported one, is never matched.
                 if work.is_empty() {
                     continue;
                 }
@@ -476,7 +476,6 @@ struct PlanEntry {
 struct TextEntry {
     plan: Arc<CompiledPlan>,
     consts: Arc<Vec<Term>>,
-    shape: String,
     last_used: u64,
 }
 
@@ -612,7 +611,6 @@ impl PlanCache {
                 TextEntry {
                     plan: plan.clone(),
                     consts: consts.clone(),
-                    shape: plan.shape().to_string(),
                     last_used: tick,
                 },
             );
@@ -759,15 +757,6 @@ impl PlanCache {
     }
 }
 
-// `shape` on TextEntry documents the text→shape mapping for debugging;
-// keep the field exercised even though lookups go through the Arc.
-impl TextEntry {
-    #[allow(dead_code)]
-    fn shape(&self) -> &str {
-        &self.shape
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -870,7 +859,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_agrees_with_interpreted_on_binds_filters_union() {
+    fn cold_and_cached_plans_agree_on_binds_filters_union() {
         let st = store();
         let cache = PlanCache::new();
         for opts in [QueryOptions::default(), QueryOptions::without_reasoning()] {
@@ -884,11 +873,92 @@ mod tests {
                 let parsed = parse_query(q).unwrap();
                 let want = execute(&st, &parsed, &opts).unwrap();
                 let got = cache.execute_text(&st, q, &opts).unwrap();
-                assert_eq!(norm(&got), norm(&want), "query {q} diverged");
+                assert_eq!(norm(&got), norm(&want), "text path diverged on {q}");
                 assert_eq!(got.variables, want.variables);
                 let got_ast = cache.execute_ast(&st, &parsed, &opts).unwrap();
                 assert_eq!(norm(&got_ast), norm(&want), "AST path diverged on {q}");
             }
+        }
+    }
+
+    type Triples = Vec<(String, &'static str, String)>;
+
+    /// A store of `(s, p, o)` triples under `http://x/`; `p == "a"` is
+    /// `rdf:type`.
+    fn toy_store(triples: &Triples) -> SuccinctEdgeStore {
+        let mut g = Graph::new();
+        for (s, p, o) in triples {
+            let p = if *p == "a" {
+                Term::iri(se_rdf::vocab::rdf::TYPE)
+            } else {
+                iri(p)
+            };
+            g.insert(Triple::new(iri(s), p, iri(o)));
+        }
+        SuccinctEdgeStore::build(&Ontology::new(), &g).unwrap()
+    }
+
+    /// `n` triples `(prefix{i}, p, o(i))`.
+    fn fan(prefix: &str, p: &'static str, n: usize, o: impl Fn(usize) -> String) -> Triples {
+        (0..n).map(|i| (format!("{prefix}{i}"), p, o(i))).collect()
+    }
+
+    /// Join orders two simpler planning rules get wrong: ranking the
+    /// extension by discounted estimate (first case), or starting from
+    /// the most selective `rdf:type` TP with an SS join (the others).
+    #[test]
+    fn compiled_join_order_on_planner_shapes() {
+        let cases: Vec<(&str, Triples, &str, Vec<usize>)> = vec![
+            (
+                // LUBM R4: the `?y e:name ?n` probe runs while `?y` is one
+                // row, before the memberOf fan-out multiplies the rows.
+                "bound-subject probe first",
+                [
+                    fan("u", "a", 1, |_| "U".to_string()),
+                    fan("u", "name", 64, |i| format!("n{i}")),
+                    fan("x", "memberOf", 32, |_| "u0".to_string()),
+                ]
+                .concat(),
+                "SELECT * WHERE { ?y a e:U . ?y e:name ?n . ?x e:memberOf ?y }",
+                vec![0, 1, 2],
+            ),
+            (
+                // §2 anomaly: the two-row unit type starts, though only an
+                // SO join connects it.
+                "narrowest type pattern first",
+                [
+                    fan("x", "a", 8, |_| "Platform".to_string()),
+                    fan("x", "hosts", 8, |i| format!("s{i}")),
+                    fan("s", "unit", 8, |i| format!("u{}", i % 2)),
+                    fan("u", "a", 2, |_| "PressureUnit".to_string()),
+                ]
+                .concat(),
+                "SELECT * WHERE { ?x a e:Platform . ?x e:hosts ?s . ?s e:unit ?u . \
+                 ?u a e:PressureUnit }",
+                vec![3, 2, 1, 0],
+            ),
+            (
+                // stream_ingest point query: the constant subject's probe
+                // starts ahead of the `?s a C` scans.
+                "constant subject first",
+                [
+                    fan("st", "hosts", 8, |i| format!("s{i}")),
+                    fan("s", "a", 8, |_| "Sensor".to_string()),
+                    fan("s", "observes", 8, |i| format!("o{i}")),
+                    fan("o", "a", 8, |_| "Observation".to_string()),
+                    fan("o", "result", 8, |i| format!("r{i}")),
+                ]
+                .concat(),
+                "SELECT * WHERE { e:st0 e:hosts ?s . ?s a e:Sensor . ?s e:observes ?o . \
+                 ?o a e:Observation . ?o e:result ?r }",
+                vec![0, 1, 2, 3, 4],
+            ),
+        ];
+        for (name, triples, body, want) in cases {
+            let st = toy_store(&triples);
+            let q = parse_query(&format!("PREFIX e: <http://x/> {body}")).unwrap();
+            let plan = compile(&q, &st, &QueryOptions::without_reasoning(), 0);
+            assert_eq!(plan.pattern_order(0).unwrap(), want.as_slice(), "{name}");
         }
     }
 

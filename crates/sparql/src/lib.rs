@@ -3,7 +3,9 @@
 //! The query layer of the paper (§5): a SPARQL subset parser, the
 //! heuristic + statistics join-order optimizer (Algorithm 1), and a
 //! left-deep executor that translates triple patterns into the store's SDS
-//! operations.
+//! operations. Every query runs as a compiled plan ([`ir`]):
+//! [`execute_query`] compiles one per call, [`execute_query_cached`] and
+//! [`PlanCache`] reuse one across the queries of a shape.
 //!
 //! Supported SPARQL: `PREFIX`, `SELECT` (with `*`, `DISTINCT`, `LIMIT`),
 //! basic graph patterns with `;`/`,` continuations and the `a` keyword,
@@ -35,7 +37,8 @@ pub use parser::parse_query;
 
 use se_core::TripleSource;
 
-/// Parses and executes `query` against any [`TripleSource`] with `options`.
+/// Parses, compiles and executes `query` against any [`TripleSource`]
+/// with `options`, caching nothing.
 pub fn execute_query<S: TripleSource + ?Sized>(
     store: &S,
     query: &str,

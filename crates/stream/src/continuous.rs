@@ -248,7 +248,8 @@ pub struct ContinuousQueryRegistry {
     /// Shared compiled-plan cache: seeding and full-fallback evaluations
     /// go through it (shape-level reuse across queries and with the
     /// server's QUERY path), so a re-registered or same-shape query
-    /// skips optimize entirely. `None` keeps the plain interpreted path.
+    /// skips optimize entirely. `None` compiles a fresh plan for every
+    /// such evaluation.
     plan_cache: Option<Arc<PlanCache>>,
 }
 
@@ -1020,7 +1021,7 @@ mod tests {
     }
 
     /// With a shared plan cache installed, seeding and fallback
-    /// evaluations produce identical answers to the interpreted path,
+    /// evaluations produce identical answers to the uncached path,
     /// and the session's stream stats surface the cache counters.
     #[test]
     fn plan_cache_on_registry_agrees_and_is_counted() {

@@ -462,10 +462,10 @@ fn group_updates<S: TripleSource + ?Sized>(
     Ok(())
 }
 
-/// [`se_sparql::exec::execute`], routed through the registry's shared
-/// compiled-plan cache when one is installed: seeding and fallback
-/// evaluations then reuse (or seed) the shape-level plan instead of
-/// re-running the optimizer per batch.
+/// Runs `query`'s compiled plan: the registry's shared plan cache when
+/// one is installed, so seeding and fallback evaluations reuse (or seed)
+/// the shape-level plan instead of re-planning per batch; otherwise a
+/// fresh compile through [`se_sparql::exec::execute`].
 fn execute_maybe_cached<S: TripleSource + ?Sized>(
     store: &S,
     query: &Query,

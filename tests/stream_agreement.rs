@@ -8,6 +8,7 @@
 //! for every triple-pattern shape, with reasoning on and off, before and
 //! after compactions triggered by the overlay-size policy.
 
+use se_baselines::{rewrite_with_ontology, MultiIndexStore};
 use se_core::{SuccinctEdgeStore, TripleSource};
 use se_datagen::water::{generate_stream, water_shard_group, WaterConfig};
 use se_datagen::workload::water_anomaly_query;
@@ -655,13 +656,14 @@ fn save_load_mid_stream_preserves_agreement() {
     let _ = std::fs::remove_dir_all(&sharded_dir);
 }
 
-/// Compiled-IR execution (through a shared [`se_sparql::PlanCache`])
-/// agrees with the interpreted executor for every query shape, with
-/// reasoning on and off, against the live hybrid store, the sharded
-/// store, and a pinned MVCC snapshot — on both the cold (parse +
-/// compile) and the hot (cached plan, zero parsing) path.
+/// Compiled plans answer every query shape as the multi-index baseline
+/// does over the same triples (through the ontology rewrite when
+/// reasoning is on), with reasoning on and off, against the live hybrid
+/// store, the sharded store, and a pinned MVCC snapshot — on the
+/// uncached path, the cold (parse + compile) cached path and the hot
+/// (cached plan, zero parsing) path.
 #[test]
-fn compiled_plans_agree_with_interpreter_on_every_shape() {
+fn compiled_plans_agree_with_baseline_on_every_shape() {
     let onto = water_ontology();
     let cfg = WaterConfig {
         stations: 2,
@@ -672,11 +674,27 @@ fn compiled_plans_agree_with_interpreter_on_every_shape() {
     let batches = generate_stream(&cfg, 8, 3);
     let mut hybrid = HybridStore::build(&onto, &Graph::new()).unwrap();
     let mut sharded = ShardedHybridStore::build(&onto, &Graph::new(), 3).unwrap();
+    let mut triples: BTreeSet<Triple> = BTreeSet::new();
     for batch in &batches {
         hybrid.apply(&batch.inserts, &batch.deletes).unwrap();
         sharded.apply(&batch.inserts, &batch.deletes).unwrap();
+        for t in &batch.deletes {
+            triples.remove(t);
+        }
+        triples.extend(batch.inserts.iter().cloned());
     }
     let snapshot = sharded.snapshot();
+    let baseline = MultiIndexStore::build(&Graph::from_triples(triples));
+    let dicts = onto.encode().unwrap();
+    let expected = |text: &str, opts: &QueryOptions| {
+        let parsed = se_sparql::parse_query(text).unwrap();
+        let query = if opts.reasoning {
+            rewrite_with_ontology(&parsed, &dicts).unwrap().0
+        } else {
+            parsed
+        };
+        normalize(&baseline.query(&query).unwrap())
+    };
 
     let shapes = shape_queries();
     assert_eq!(shapes.len(), 13, "the harness covers all 13 shapes");
@@ -699,7 +717,14 @@ fn compiled_plans_agree_with_interpreter_on_every_shape() {
             for opts in [QueryOptions::default(), QueryOptions::without_reasoning()] {
                 combos.insert((text.clone(), opts.reasoning));
                 runs += 2;
-                let want = normalize(&se_sparql::execute_query(store, text, &opts).unwrap());
+                let want = expected(text, &opts);
+                let uncached = se_sparql::execute_query(store, text, &opts).unwrap();
+                assert_eq!(
+                    normalize(&uncached),
+                    want,
+                    "'{id}' on {store_name} (reasoning={}): uncached run",
+                    opts.reasoning
+                );
                 let cold = se_sparql::execute_query_cached(store, text, &opts, &cache).unwrap();
                 assert_eq!(
                     normalize(&cold),
