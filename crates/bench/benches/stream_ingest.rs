@@ -1,14 +1,14 @@
 //! Write-path benchmarks for the incremental ingestion subsystem:
 //! batch ingestion throughput and continuous-query latency on the hybrid
 //! view, against the paper's original rebuild-per-instance model — plus
-//! the sharded write path (pooled parallel ingest, background compaction)
-//! against the single-overlay store, with per-batch apply-latency
+//! the four-shard write path (pooled parallel ingest, background
+//! compaction) against the one-shard store, with per-batch apply-latency
 //! percentiles and a small-batch break-even sweep of the persistent
-//! worker pool against the legacy per-batch scoped spawns.
+//! worker pool against inline application.
 //!
 //! Besides the criterion timings this bench emits a machine-readable
 //! `BENCH_stream_ingest.json` (throughput + rank-interpolated p50/p99
-//! apply latency per engine, pooled/inline batch counts, the sweep, and
+//! apply latency per store, pooled/inline batch counts, the sweep, and
 //! the v02 persistence trajectory: O(delta) save vs compact-then-dump,
 //! with 4x-overlay / 4x-baseline cells pinning what the save time scales
 //! with, the continuous-query trajectory: {4,16} registered queries ×
@@ -33,8 +33,7 @@ use se_ontology::Ontology;
 use se_rdf::{Graph, Term, Triple};
 use se_sparql::QueryOptions;
 use se_stream::{
-    CompactionPolicy, HybridStore, IngestMode, ShardedHybridStore, StreamSession, SyncPolicy,
-    WalConfig,
+    CompactionPolicy, IngestMode, ShardedHybridStore, StreamSession, SyncPolicy, WalConfig,
 };
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -49,7 +48,7 @@ const CRIT_BATCHES: usize = 48;
 /// interpolated rank statistic, not the sample maximum.
 const LAT_BATCHES: usize = 240;
 const SHARDS: usize = 4;
-/// Small-batch sweep: ops per batch across the spawn/pool break-even.
+/// Small-batch sweep: ops per batch across the inline/pool break-even.
 const SWEEP_SIZES: [usize; 3] = [32, 256, 2048];
 const SWEEP_BATCHES: usize = 64;
 
@@ -67,13 +66,14 @@ fn stream_ingest(c: &mut Criterion) {
     let mut group = c.benchmark_group("stream_ingest");
     group.sample_size(10);
 
-    // One long-lived hybrid session: ingest + continuous query per batch,
-    // overlay compacting under a realistic policy.
+    // One long-lived one-shard session: ingest + continuous query per
+    // batch, overlay compacting inline under a realistic policy.
     group.bench_function("hybrid_ingest_and_query_32_batches", |b| {
         b.iter(|| {
-            let store = HybridStore::build(&onto, &Graph::new())
+            let store = ShardedHybridStore::build(&onto, &Graph::new(), 1)
                 .unwrap()
-                .with_policy(CompactionPolicy { max_overlay: 1024 });
+                .with_policy(CompactionPolicy { max_overlay: 1024 })
+                .with_background_compaction(false);
             let mut session = StreamSession::new(store);
             session
                 .register_query("anomaly", &query, QueryOptions::default())
@@ -114,7 +114,7 @@ fn stream_ingest(c: &mut Criterion) {
 
     // Continuous-query latency on a view with a dirty (uncompacted)
     // overlay — the steady-state read cost between compactions.
-    let mut dirty = HybridStore::build(&onto, &Graph::new())
+    let mut dirty = ShardedHybridStore::build(&onto, &Graph::new(), 1)
         .unwrap()
         .with_policy(CompactionPolicy {
             max_overlay: usize::MAX,
@@ -132,12 +132,13 @@ fn stream_ingest(c: &mut Criterion) {
         })
     });
 
-    // Compaction cost: fold the accumulated overlay into the baseline.
+    // Compaction cost: fold the accumulated overlay into fresh layers.
+    // Compaction is in place, so after the first run each rebuild folds
+    // the same triples from the layers instead of the overlay.
     group.bench_function("compaction_of_32_batch_overlay", |b| {
         b.iter(|| {
-            let mut h = dirty.clone();
-            h.compact().unwrap();
-            h.baseline().len()
+            dirty.compact_shard(0);
+            se_core::TripleSource::len(&dirty)
         })
     });
 
@@ -153,9 +154,10 @@ fn stream_ingest(c: &mut Criterion) {
 
     group.bench_function("single_hybrid_ingest_heavy_stream", |b| {
         b.iter(|| {
-            let mut h = HybridStore::build(&onto, &Graph::new())
+            let mut h = ShardedHybridStore::build(&onto, &Graph::new(), 1)
                 .unwrap()
-                .with_policy(policy);
+                .with_policy(policy)
+                .with_background_compaction(false);
             for batch in &heavy {
                 h.apply(&batch.inserts, &batch.deletes).unwrap();
             }
@@ -185,18 +187,16 @@ fn stream_ingest(c: &mut Criterion) {
     emit_latency_report(&heavy_long);
 }
 
-/// Per-batch wall-clock `apply` latencies of one engine over a stream.
+/// Per-batch wall-clock `apply` latencies of one store over a stream.
 struct LatencyRun {
     label: String,
     per_batch: Vec<Duration>,
     total: Duration,
     compactions: usize,
     final_len: usize,
-    /// How the batches were applied (from `ShardedStats`; the single
-    /// store is all-inline by construction).
+    /// How the batches were applied (from `ShardedStats`).
     pooled_batches: usize,
     inline_batches: usize,
-    scoped_batches: usize,
 }
 
 /// Rank-interpolated percentile: the q-quantile of n samples sits at
@@ -239,7 +239,6 @@ where
         final_len: 0,
         pooled_batches: 0,
         inline_batches: 0,
-        scoped_batches: 0,
     }
 }
 
@@ -249,7 +248,6 @@ impl LatencyRun {
         self.compactions = stats.compactions;
         self.pooled_batches = stats.pooled_batches;
         self.inline_batches = stats.inline_batches;
-        self.scoped_batches = stats.scoped_batches;
         self.final_len = se_core::TripleSource::len(store);
     }
 
@@ -257,7 +255,7 @@ impl LatencyRun {
         let mut sorted = self.per_batch.clone();
         sorted.sort_unstable();
         format!(
-            "{{\"label\":\"{}\",\"batches\":{},\"total_ms\":{:.3},\"p50_us\":{:.1},\"p99_us\":{:.1},\"max_us\":{:.1},\"compactions\":{},\"final_triples\":{},\"pooled_batches\":{},\"inline_batches\":{},\"scoped_batches\":{}}}",
+            "{{\"label\":\"{}\",\"batches\":{},\"total_ms\":{:.3},\"p50_us\":{:.1},\"p99_us\":{:.1},\"max_us\":{:.1},\"compactions\":{},\"final_triples\":{},\"pooled_batches\":{},\"inline_batches\":{}}}",
             self.label,
             self.per_batch.len(),
             self.total.as_secs_f64() * 1e3,
@@ -268,7 +266,6 @@ impl LatencyRun {
             self.final_len,
             self.pooled_batches,
             self.inline_batches,
-            self.scoped_batches,
         )
     }
 }
@@ -300,13 +297,13 @@ fn sweep_stream(size: usize, batches: usize) -> Vec<StreamBatch> {
         .collect()
 }
 
-/// Persistence trajectory: the v02 delta-aware save against the legacy
-/// compact-then-dump shutdown, on a dirty store. Three v02 cells pin the
+/// Persistence trajectory: the v02 delta-aware save against a
+/// compact-then-dump shutdown (rebuild a static store from the merged
+/// view, write it as a v01 file), on a dirty store. Three v02 cells pin the
 /// O(delta) claim: 4x the overlay must move the save time, 4x the
 /// *baseline* must not (the baseline layer file is reused, not
 /// rewritten). Every cell measures the steady state (the cold save that
 /// writes the baseline file runs once, untimed).
-#[allow(deprecated)] // the v01 compact-then-dump comparator
 fn persistence_runs(onto: &Ontology) -> Vec<LatencyRun> {
     const SAVE_ITERS: usize = 12;
     const DUMP_ITERS: usize = 3;
@@ -331,7 +328,7 @@ fn persistence_runs(onto: &Ontology) -> Vec<LatencyRun> {
     };
     // A dirty store: `ops` synthetic overlay inserts, compaction off.
     let build_dirty = |base: &Graph, ops: usize| {
-        let mut h = HybridStore::build(onto, base)
+        let mut h = ShardedHybridStore::build(onto, base, 1)
             .unwrap()
             .with_policy(CompactionPolicy {
                 max_overlay: usize::MAX,
@@ -362,14 +359,16 @@ fn persistence_runs(onto: &Ontology) -> Vec<LatencyRun> {
         runs.push(run);
     }
 
-    // The legacy shutdown: compact (full rebuild) + dump v01.
+    // The compact-then-dump shutdown: full rebuild + v01 dump.
     {
         let h = build_dirty(&base1, 512);
         let path = root.join("legacy.v01");
         let iters: Vec<usize> = (0..DUMP_ITERS).collect();
         let mut run = run_latency("persist_v01_compact_then_dump", &iters, |_| {
-            let mut doomed = h.clone();
-            doomed.save_to_file(&path).unwrap();
+            SuccinctEdgeStore::build(onto, &h.materialize())
+                .unwrap()
+                .save_to_file(&path)
+                .unwrap();
         });
         run.final_len = se_core::TripleSource::len(&h);
         runs.push(run);
@@ -438,7 +437,7 @@ fn wal_runs(onto: &Ontology) -> Vec<LatencyRun> {
     ];
     let mut runs = Vec::new();
     for (label, sync) in cells {
-        let mut h = HybridStore::build(onto, &Graph::new())
+        let mut h = ShardedHybridStore::build(onto, &Graph::new(), 1)
             .unwrap()
             .with_policy(CompactionPolicy {
                 max_overlay: usize::MAX,
@@ -726,7 +725,6 @@ fn server_runs(onto: &Ontology) -> Vec<LatencyRun> {
         final_len: serial.final_len,
         pooled_batches: 0,
         inline_batches: 0,
-        scoped_batches: 0,
     };
     // Stash how hard the tick actually coalesced where the JSON has a
     // free slot (documented in docs/server.md).
@@ -789,7 +787,6 @@ fn server_runs(onto: &Ontology) -> Vec<LatencyRun> {
             final_len: 0,
             pooled_batches: 0,
             inline_batches: 0,
-            scoped_batches: 0,
         });
     }
 
@@ -941,7 +938,6 @@ fn replication_runs(onto: &Ontology) -> Vec<LatencyRun> {
             final_len: local_len,
             pooled_batches: REPL_EPOCHS,
             inline_batches: 0,
-            scoped_batches: 0,
         },
         LatencyRun {
             label: "replication_catchup".to_string(),
@@ -951,7 +947,6 @@ fn replication_runs(onto: &Ontology) -> Vec<LatencyRun> {
             final_len: follower_len as usize,
             pooled_batches: REPL_EPOCHS,
             inline_batches: 0,
-            scoped_batches: 0,
         },
         LatencyRun {
             label: "replication_staleness".to_string(),
@@ -961,7 +956,6 @@ fn replication_runs(onto: &Ontology) -> Vec<LatencyRun> {
             final_len: 0,
             pooled_batches: REPL_LIVE_ROUNDS,
             inline_batches: 0,
-            scoped_batches: 0,
         },
     ]
 }
@@ -987,7 +981,7 @@ fn plan_cache_runs(onto: &Ontology) -> Vec<LatencyRun> {
         anomaly_rate: 0.15,
         seed: 7,
     };
-    let mut store = HybridStore::build(onto, &Graph::new()).unwrap();
+    let mut store = ShardedHybridStore::build(onto, &Graph::new(), 1).unwrap();
     // Two batches keep the answer set small: a serving-style point query
     // spends its time in parse + optimize + join ordering, not in the
     // scan — exactly the costs a cache hit skips.
@@ -1052,26 +1046,24 @@ fn plan_cache_runs(onto: &Ontology) -> Vec<LatencyRun> {
     vec![cold, cached, compile]
 }
 
-/// Runs the heavy stream through (a) the single store with inline
-/// compaction and (b) the sharded store with background compaction, under
-/// a deliberately tight compaction policy so several rebuilds land inside
-/// the run — the off-hot-path win shows up as the p99 gap — plus the
-/// small-batch sweep (scoped-spawn vs persistent pool at 32/256/2048 ops
-/// per batch) demonstrating the break-even shift. Results go to stdout
-/// and `BENCH_stream_ingest.json`.
+/// Runs the heavy stream through (a) one shard with inline compaction and
+/// (b) four shards with background compaction, under a deliberately
+/// tight compaction policy so several rebuilds land inside the run — the
+/// off-hot-path win shows up as the p99 gap — plus the small-batch sweep
+/// (inline vs persistent pool at 32/256/2048 ops per batch) locating the
+/// break-even. Results go to stdout and `BENCH_stream_ingest.json`.
 fn emit_latency_report(heavy: &[StreamBatch]) {
     let onto = water_ontology();
     let tight = CompactionPolicy { max_overlay: 768 };
 
-    let mut single = HybridStore::build(&onto, &Graph::new())
+    let mut single = ShardedHybridStore::build(&onto, &Graph::new(), 1)
         .unwrap()
-        .with_policy(tight);
+        .with_policy(tight)
+        .with_background_compaction(false);
     let mut single_run = run_latency("single_inline_compaction", heavy, |b| {
         single.apply(&b.inserts, &b.deletes).unwrap();
     });
-    single_run.compactions = single.stats().compactions;
-    single_run.final_len = se_core::TripleSource::len(&single);
-    single_run.inline_batches = heavy.len();
+    single_run.take_sharded_stats(&single);
 
     let mut sharded = ShardedHybridStore::build(&onto, &Graph::new(), SHARDS)
         .unwrap()
@@ -1085,17 +1077,14 @@ fn emit_latency_report(heavy: &[StreamBatch]) {
 
     assert_eq!(
         single_run.final_len, sharded_run.final_len,
-        "engines must agree on the final store"
+        "one and four shards must agree on the final store"
     );
 
-    // The break-even sweep: per size, per-batch scoped spawns (what the
-    // legacy parallel path cost whenever it engaged), the single-threaded
-    // inline path (what the legacy adaptive gate actually ran below
-    // PARALLEL_MIN_OPS), and the persistent pool.
+    // The break-even sweep: per size, the single-threaded inline path and
+    // the persistent pool.
     let sweep_onto = sweep_ontology();
     let mut runs = vec![single_run, sharded_run];
     for size in SWEEP_SIZES {
-        runs.push(sweep_run(&sweep_onto, IngestMode::Scoped, "scoped", size));
         runs.push(sweep_run(&sweep_onto, IngestMode::Inline, "inline", size));
         runs.push(sweep_run(&sweep_onto, IngestMode::Pooled, "pooled", size));
     }

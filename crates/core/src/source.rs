@@ -7,8 +7,9 @@
 //!
 //! * the immutable [`SuccinctEdgeStore`](crate::SuccinctEdgeStore) —
 //!   wavelet trees, bitmaps and red-black trees;
-//! * the streaming `HybridStore` of `se-stream` — the same baseline plus a
-//!   mutable delta overlay of inserted/deleted triples.
+//! * the streaming `ShardedHybridStore` of `se-stream` — succinct layers
+//!   partitioned by predicate into shards, each with a mutable delta
+//!   overlay of inserted/deleted triples.
 //!
 //! # Contract
 //!

@@ -13,7 +13,7 @@
 //! ```
 //!
 //! One **feed thread** owns the replica's
-//! [`StreamSession<ShardedHybridStore>`] — the exact counterpart of the
+//! [`StreamSession`] — the exact counterpart of the
 //! leader's writer thread, with the leader's record stream in place of
 //! client ingest. It connects to the leader, sends
 //! [`req::REPLICATE`](crate::protocol::req::REPLICATE) carrying its
@@ -191,7 +191,7 @@ fn build_store(ontology: &Ontology, data: &Graph, shards: usize) -> io::Result<S
 /// sinks, and the query texts needed to re-register them after a
 /// snapshot bootstrap replaces the store.
 struct FeedState {
-    session: StreamSession<ShardedHybridStore>,
+    session: StreamSession,
     subs: HashMap<String, Sub>,
     /// id → (query text, options): survives store rebuilds.
     specs: HashMap<String, (String, QueryOptions)>,

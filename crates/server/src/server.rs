@@ -14,7 +14,7 @@
 //! ```
 //!
 //! * **Writer thread** — sole owner of the
-//!   [`StreamSession<ShardedHybridStore>`]. It drains the command channel
+//!   [`StreamSession`]. It drains the command channel
 //!   with a group-commit tick: the first `INGEST` opens a window of
 //!   [`ServerConfig::tick`]; every write arriving inside the window is
 //!   coalesced (all deletes, then all inserts) into **one** pipelined
@@ -288,7 +288,7 @@ type PendingIngest = (
 );
 
 fn writer_loop(
-    mut session: StreamSession<ShardedHybridStore>,
+    mut session: StreamSession,
     rx: mpsc::Receiver<Cmd>,
     slot: Arc<Mutex<StoreSnapshot>>,
     tick: Duration,
@@ -463,7 +463,7 @@ fn writer_loop(
 
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn subscribe(
-    session: &mut StreamSession<ShardedHybridStore>,
+    session: &mut StreamSession,
     subs: &mut HashMap<String, Sub>,
     id: String,
     text: String,
@@ -494,7 +494,7 @@ pub(crate) fn subscribe(
 /// the log still covers `(from_epoch, current]`, a full snapshot
 /// otherwise — then registers its sink for live per-tick records.
 fn attach_replica(
-    session: &mut StreamSession<ShardedHybridStore>,
+    session: &mut StreamSession,
     replicas: &mut Vec<ClientSink>,
     repl: &mut ReplCounters,
     from_epoch: u64,
@@ -554,7 +554,7 @@ fn attach_replica(
 /// the subscription. Shared by the leader's writer and a replica's feed
 /// thread.
 pub(crate) fn push_results(
-    session: &mut StreamSession<ShardedHybridStore>,
+    session: &mut StreamSession,
     subs: &mut HashMap<String, Sub>,
     results: Vec<se_stream::ContinuousResult>,
     epoch: u64,
@@ -594,7 +594,7 @@ pub(crate) fn push_results(
 }
 
 pub(crate) fn stats(
-    session: &StreamSession<ShardedHybridStore>,
+    session: &StreamSession,
     subscriptions: usize,
     repl: ReplCounters,
 ) -> StatsReport {

@@ -11,7 +11,7 @@ use se_ontology::water_ontology;
 use se_rdf::{Graph, Term, Triple};
 use se_server::{Client, Replica, ReplicaConfig, Server, ServerConfig};
 use se_sparql::{QueryOptions, ResultSet};
-use se_stream::{CompactionPolicy, ShardedHybridStore, StreamSession, StreamStore, WalConfig};
+use se_stream::{CompactionPolicy, ShardedHybridStore, StreamSession, WalConfig};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -128,7 +128,7 @@ fn wait_caught_up(leader: &mut Client, follower: &mut Client) -> u64 {
 fn assert_shapes_agree(
     leader: &mut Client,
     follower: &mut Client,
-    replay: &StreamSession<ShardedHybridStore>,
+    replay: &StreamSession,
     epoch: u64,
     phase: &str,
 ) {
@@ -181,9 +181,10 @@ fn replica_agrees_across_checkpoint_compaction_and_resync() {
     let mut store = ShardedHybridStore::build(&onto, &Graph::new(), 3)
         .unwrap()
         .with_policy(policy);
-    // Local ground truth: the same batches through an ordinary session.
+    // Local ground truth: the same batches through an ordinary
+    // one-shard session (leader 3 shards, follower 2).
     let mut replay = StreamSession::new(
-        ShardedHybridStore::build(&onto, &Graph::new(), 2)
+        ShardedHybridStore::build(&onto, &Graph::new(), 1)
             .unwrap()
             .with_policy(policy),
     );
@@ -193,7 +194,7 @@ fn replica_agrees_across_checkpoint_compaction_and_resync() {
     // starting from epoch 0 therefore CANNOT be served records and must
     // take the snapshot bootstrap path.
     for batch in &batches[..3] {
-        store.apply_batch(&batch.inserts, &batch.deletes).unwrap();
+        store.apply(&batch.inserts, &batch.deletes).unwrap();
         replay.apply_batch(&batch.inserts, &batch.deletes).unwrap();
     }
     store.attach_wal(&dir, WalConfig::default()).unwrap();

@@ -7,20 +7,16 @@
 //! (see [`crate::incremental`]), so steady-state evaluation cost is
 //! O(delta), not O(store).
 //!
-//! [`StreamSession`] is generic over any ingestible [`TripleSource`]
-//! (the [`StreamStore`] seam): the single-overlay [`HybridStore`] and the
-//! scatter/gather [`ShardedHybridStore`](crate::ShardedHybridStore) drive
-//! the same registry. With more than one registered query the registry
-//! evaluates them concurrently over the shared view — as jobs on the
-//! store's persistent [`ShardRuntime`] when it runs one, on scoped
-//! spawns otherwise.
+//! [`StreamSession`] drives a [`ShardedHybridStore`]. With more than one
+//! registered query the registry evaluates them concurrently over the
+//! shared view as jobs on the store's persistent [`ShardRuntime`] when it
+//! runs one, sequentially otherwise.
 
 use crate::error::StreamError;
-use crate::hybrid::{BatchDelta, HybridStore, IngestReport};
 use crate::incremental::{self, choose_strategy, EvalStrategy, MaterializedState};
 use crate::runtime::ShardRuntime;
-use crate::shard::ShardedHybridStore;
-use crate::wal::{WalHealth, WalRecord};
+use crate::shard::{BatchDelta, IngestReport, ShardedHybridStore};
+use crate::wal::WalRecord;
 use se_core::TripleSource;
 use se_rdf::Graph;
 use se_sparql::ast::Query;
@@ -28,66 +24,14 @@ use se_sparql::error::{QueryError, SparqlParseError};
 use se_sparql::{parse_query, PlanCache, QueryOptions, ResultSet};
 use std::sync::Arc;
 
-/// An updatable [`TripleSource`]: the seam [`StreamSession`] drives.
-pub trait StreamStore: TripleSource {
-    /// Applies one batch (deletions first, then insertions), returning
-    /// the ingest accounting.
-    fn apply_batch(
-        &mut self,
-        inserts: &Graph,
-        deletes: &Graph,
-    ) -> Result<IngestReport, StreamError>;
-
-    /// Turns capture of per-batch net deltas on [`IngestReport::delta`]
-    /// on or off. Stores that cannot capture deltas may ignore this;
-    /// incremental queries then fall back to full re-evaluation.
-    fn set_delta_capture(&mut self, _on: bool) {}
-
-    /// The store's persistent worker pool, if it runs one: continuous
-    /// queries are evaluated as jobs on these workers instead of
-    /// per-batch scoped spawns, so the whole session — ingest,
-    /// compaction, query fan-out — shares one bounded thread budget.
-    fn shared_runtime(&self) -> Option<&ShardRuntime> {
-        None
-    }
-
-    /// Drains any buffered write-ahead-log records to disk. A no-op for
-    /// stores without an attached WAL; callers that stop applying
-    /// batches (graceful shutdown) use it to make the tail durable under
-    /// lazy sync policies.
-    fn wal_flush(&self) -> Result<(), StreamError> {
-        Ok(())
-    }
-
-    /// The store's current epoch: the count of successfully applied
-    /// batches (plus any epoch alignment — see
-    /// [`StreamStore::align_epoch`]). Replication and the plan cache's
-    /// staleness clock both key off this.
-    fn epoch(&self) -> u64;
-
-    /// Forces the store's epoch to `epoch` without applying anything —
-    /// the replication bootstrap: a follower that just rebuilt its state
-    /// from a leader snapshot aligns to the leader's epoch so subsequent
-    /// WAL records replay under the consecutive-epoch invariant. Not for
-    /// general use; misaligning a store with an attached WAL corrupts
-    /// its log's epoch sequence.
-    fn align_epoch(&mut self, epoch: u64);
-
-    /// Operator-visible WAL durability state. The default covers stores
-    /// without WAL support (nothing attached, nothing failed).
-    fn wal_health(&self) -> WalHealth {
-        WalHealth::default()
-    }
-}
-
 /// Replays one shipped WAL record into a store under the
 /// consecutive-epoch invariant: the record must carry exactly
 /// `store.epoch() + 1` (anything else is a gap or a replayed duplicate —
 /// the caller re-syncs instead of guessing), and the delta's removals
 /// apply before its additions, exactly like crash recovery's
 /// `replay_wal`.
-pub fn replay_record<S: StreamStore>(
-    store: &mut S,
+pub fn replay_record(
+    store: &mut ShardedHybridStore,
     rec: &WalRecord,
 ) -> Result<IngestReport, StreamError> {
     let expected = store.epoch() + 1;
@@ -99,73 +43,9 @@ pub fn replay_record<S: StreamStore>(
     }
     let inserts = Graph::from_triples(rec.delta.added.iter().cloned());
     let deletes = Graph::from_triples(rec.delta.removed.iter().cloned());
-    let report = store.apply_batch(&inserts, &deletes)?;
+    let report = store.apply(&inserts, &deletes)?;
     debug_assert_eq!(store.epoch(), rec.epoch, "apply advances exactly one epoch");
     Ok(report)
-}
-
-impl StreamStore for HybridStore {
-    fn apply_batch(
-        &mut self,
-        inserts: &Graph,
-        deletes: &Graph,
-    ) -> Result<IngestReport, StreamError> {
-        self.apply(inserts, deletes)
-    }
-
-    fn set_delta_capture(&mut self, on: bool) {
-        HybridStore::set_delta_capture(self, on);
-    }
-
-    fn wal_flush(&self) -> Result<(), StreamError> {
-        HybridStore::wal_flush(self)
-    }
-
-    fn epoch(&self) -> u64 {
-        HybridStore::epoch(self)
-    }
-
-    fn align_epoch(&mut self, epoch: u64) {
-        HybridStore::align_epoch(self, epoch);
-    }
-
-    fn wal_health(&self) -> WalHealth {
-        HybridStore::wal_health(self)
-    }
-}
-
-impl StreamStore for ShardedHybridStore {
-    fn apply_batch(
-        &mut self,
-        inserts: &Graph,
-        deletes: &Graph,
-    ) -> Result<IngestReport, StreamError> {
-        self.apply(inserts, deletes)
-    }
-
-    fn set_delta_capture(&mut self, on: bool) {
-        ShardedHybridStore::set_delta_capture(self, on);
-    }
-
-    fn shared_runtime(&self) -> Option<&ShardRuntime> {
-        self.runtime()
-    }
-
-    fn wal_flush(&self) -> Result<(), StreamError> {
-        ShardedHybridStore::wal_flush(self)
-    }
-
-    fn epoch(&self) -> u64 {
-        ShardedHybridStore::epoch(self)
-    }
-
-    fn align_epoch(&mut self, epoch: u64) {
-        ShardedHybridStore::align_epoch(self, epoch);
-    }
-
-    fn wal_health(&self) -> WalHealth {
-        ShardedHybridStore::wal_health(self)
-    }
 }
 
 /// One registered continuous query, with its materialized answers.
@@ -227,16 +107,6 @@ impl ContinuousResult {
     pub fn unchanged(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty()
     }
-}
-
-/// How a registry evaluation round distributes its queries.
-enum EvalMode<'rt> {
-    /// One after another on the calling thread.
-    Sequential,
-    /// One scoped worker per query.
-    Scoped,
-    /// Jobs on a store's persistent [`ShardRuntime`].
-    Pooled(&'rt ShardRuntime),
 }
 
 /// Holds parsed continuous queries and their materialized answers, and
@@ -377,20 +247,7 @@ impl ContinuousQueryRegistry {
         &mut self,
         source: &S,
     ) -> Result<Vec<ContinuousResult>, QueryError> {
-        self.evaluate_with(source, None, EvalMode::Sequential)
-    }
-
-    /// Evaluates every registered query against `source`, one scoped
-    /// worker per query sharing `&S` (sound because [`TripleSource`]
-    /// carries `Send + Sync`). Falls back to the sequential path when at
-    /// most one query is registered or the host has a single core (a
-    /// thread spawn costs more than a cheap query). Results keep
-    /// registration order.
-    pub fn evaluate_all_parallel<S: TripleSource + ?Sized>(
-        &mut self,
-        source: &S,
-    ) -> Result<Vec<ContinuousResult>, QueryError> {
-        self.evaluate_with(source, None, EvalMode::Scoped)
+        self.evaluate_with(source, None, None)
     }
 
     /// Evaluates every registered query against `source` as jobs on a
@@ -405,27 +262,27 @@ impl ContinuousQueryRegistry {
         runtime: &ShardRuntime,
         source: &S,
     ) -> Result<Vec<ContinuousResult>, QueryError> {
-        self.evaluate_with(source, None, EvalMode::Pooled(runtime))
+        self.evaluate_with(source, None, Some(runtime))
     }
 
     /// The one evaluation driver behind every public variant: runs
     /// [`incremental::evaluate_query`] once per registered query —
-    /// delta-fed for seeded incremental queries, full otherwise — and
-    /// only the distribution of those calls differs per [`EvalMode`].
+    /// delta-fed for seeded incremental queries, full otherwise — as jobs
+    /// on `runtime` when one is given and more than one query is
+    /// registered, one after another on the calling thread otherwise.
     fn evaluate_with<S: TripleSource + ?Sized>(
         &mut self,
         source: &S,
         delta: Option<&BatchDelta>,
-        mode: EvalMode<'_>,
+        runtime: Option<&ShardRuntime>,
     ) -> Result<Vec<ContinuousResult>, QueryError> {
         let emit_full = self.emit_full;
         let cache = self.plan_cache.clone();
         let eval = |q: &mut ContinuousQuery| {
             incremental::evaluate_query(q, source, delta, emit_full, cache.as_deref())
         };
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let answers: Vec<Result<ContinuousResult, QueryError>> = match mode {
-            EvalMode::Pooled(runtime) if self.queries.len() > 1 => {
+        let answers: Vec<Result<ContinuousResult, QueryError>> = match runtime {
+            Some(runtime) if self.queries.len() > 1 => {
                 let mut slots: Vec<Option<Result<ContinuousResult, QueryError>>> =
                     (0..self.queries.len()).map(|_| None).collect();
                 let eval = &eval;
@@ -440,28 +297,14 @@ impl ContinuousQueryRegistry {
                     })
                     .collect();
                 if let Err(msg) = runtime.run_scoped(tasks) {
-                    // Mirror the scoped path's contract: a panicking
-                    // query worker panics the caller, payload preserved.
+                    // A panicking query worker panics the caller, payload
+                    // preserved.
                     panic!("query worker panicked: {msg}");
                 }
                 slots
                     .into_iter()
                     .map(|slot| slot.expect("run_scoped ran every task"))
                     .collect()
-            }
-            EvalMode::Scoped if self.queries.len() > 1 && cores > 1 => {
-                let eval = &eval;
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .queries
-                        .iter_mut()
-                        .map(|q| scope.spawn(move || eval(q)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("query worker panicked"))
-                        .collect()
-                })
             }
             _ => self.queries.iter_mut().map(eval).collect(),
         };
@@ -543,13 +386,11 @@ impl StreamStats {
     }
 }
 
-/// A streaming session: an ingestible store (single-overlay
-/// [`HybridStore`] by default, or the scatter/gather
-/// [`ShardedHybridStore`](crate::ShardedHybridStore)) plus a
+/// A streaming session: a [`ShardedHybridStore`] plus a
 /// [`ContinuousQueryRegistry`], driven batch by batch.
-#[derive(Debug, Clone)]
-pub struct StreamSession<S: StreamStore = HybridStore> {
-    store: S,
+#[derive(Debug)]
+pub struct StreamSession {
+    store: ShardedHybridStore,
     registry: ContinuousQueryRegistry,
     stats: StreamStats,
     /// Keep per-batch delta capture on even with no incremental query
@@ -558,9 +399,9 @@ pub struct StreamSession<S: StreamStore = HybridStore> {
     force_delta_capture: bool,
 }
 
-impl<S: StreamStore> StreamSession<S> {
+impl StreamSession {
     /// Wraps an existing store.
-    pub fn new(store: S) -> Self {
+    pub fn new(store: ShardedHybridStore) -> Self {
         Self {
             store,
             registry: ContinuousQueryRegistry::new(),
@@ -590,12 +431,12 @@ impl<S: StreamStore> StreamSession<S> {
     }
 
     /// The underlying store.
-    pub fn store(&self) -> &S {
+    pub fn store(&self) -> &ShardedHybridStore {
         &self.store
     }
 
     /// Mutable access (manual compaction, policy changes).
-    pub fn store_mut(&mut self) -> &mut S {
+    pub fn store_mut(&mut self) -> &mut ShardedHybridStore {
         &mut self.store
     }
 
@@ -611,7 +452,7 @@ impl<S: StreamStore> StreamSession<S> {
 
     /// The store and the mutable registry together — for evaluating the
     /// registry against the session's own store outside `apply_batch`.
-    pub fn parts_mut(&mut self) -> (&S, &mut ContinuousQueryRegistry) {
+    pub fn parts_mut(&mut self) -> (&ShardedHybridStore, &mut ContinuousQueryRegistry) {
         (&self.store, &mut self.registry)
     }
 
@@ -639,8 +480,8 @@ impl<S: StreamStore> StreamSession<S> {
     /// date over the new state — differentially from the batch's
     /// captured delta where possible, by full re-evaluation otherwise.
     /// Evaluation runs on the store's persistent worker pool when it has
-    /// one (sharing the ingest workers' thread budget), otherwise on
-    /// scoped spawns when more than one query is registered.
+    /// one (sharing the ingest workers' thread budget), otherwise
+    /// sequentially on the calling thread.
     pub fn apply_batch(
         &mut self,
         inserts: &Graph,
@@ -648,7 +489,7 @@ impl<S: StreamStore> StreamSession<S> {
     ) -> Result<BatchOutcome, StreamError> {
         self.store
             .set_delta_capture(self.force_delta_capture || self.registry.wants_delta());
-        let report = self.store.apply_batch(inserts, deletes)?;
+        let report = self.store.apply(inserts, deletes)?;
         // Publish the post-batch epoch so cached plans compiled against
         // much older cardinalities re-cost on their next use. The
         // store's epoch, not the session's batch count: a store loaded
@@ -658,17 +499,11 @@ impl<S: StreamStore> StreamSession<S> {
         if let Some(cache) = self.registry.plan_cache() {
             cache.set_epoch(self.store.epoch());
         }
-        let results = match self.store.shared_runtime() {
-            Some(runtime) => self.registry.evaluate_with(
-                &self.store,
-                report.delta.as_ref(),
-                EvalMode::Pooled(runtime),
-            )?,
-            None => {
-                self.registry
-                    .evaluate_with(&self.store, report.delta.as_ref(), EvalMode::Scoped)?
-            }
-        };
+        let results = self.registry.evaluate_with(
+            &self.store,
+            report.delta.as_ref(),
+            self.store.runtime(),
+        )?;
         self.stats.record(&report, &results);
         Ok(BatchOutcome { report, results })
     }
@@ -677,7 +512,7 @@ impl<S: StreamStore> StreamSession<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hybrid::CompactionPolicy;
+    use crate::shard::CompactionPolicy;
     use se_ontology::Ontology;
     use se_rdf::{Term, Triple};
 
@@ -696,8 +531,8 @@ mod tests {
         o
     }
 
-    fn store_with(triples: impl IntoIterator<Item = Triple>) -> HybridStore {
-        HybridStore::build(&ontology(), &Graph::from_triples(triples)).unwrap()
+    fn store_with(triples: impl IntoIterator<Item = Triple>) -> ShardedHybridStore {
+        ShardedHybridStore::build(&ontology(), &Graph::from_triples(triples), 1).unwrap()
     }
 
     #[test]
@@ -769,7 +604,8 @@ mod tests {
     #[test]
     fn results_stable_across_compaction_boundary() {
         let store = store_with([t("a", "knows", iri("hub"))])
-            .with_policy(CompactionPolicy { max_overlay: 3 });
+            .with_policy(CompactionPolicy { max_overlay: 3 })
+            .with_background_compaction(false);
         let mut session = StreamSession::new(store);
         session
             .register_query(
@@ -807,50 +643,13 @@ mod tests {
         assert_eq!(stats.delta_added, 6);
         assert_eq!(stats.last_delta_added, 1);
         // Evaluating again without a batch gives the same answers —
-        // parallel and sequential paths agree.
+        // pooled and sequential paths agree.
+        let runtime = ShardRuntime::new(2);
         let (store, reg) = session.parts_mut();
         let seq = reg.evaluate_all(store).unwrap();
-        let par = reg.evaluate_all_parallel(store).unwrap();
-        assert_eq!(seq.len(), par.len());
-        assert_eq!(seq[0].results.rows.len(), par[0].results.rows.len());
-    }
-
-    /// The sharded store drives the same generic session.
-    #[test]
-    fn session_is_generic_over_the_sharded_store() {
-        let store = ShardedHybridStore::build(
-            &ontology(),
-            &Graph::from_triples([t("a", "knows", iri("hub"))]),
-            2,
-        )
-        .unwrap();
-        let mut session = StreamSession::new(store);
-        session
-            .register_query(
-                "q",
-                "PREFIX e: <http://x/> SELECT ?s WHERE { ?s e:knows e:hub }",
-                QueryOptions::default(),
-            )
-            .unwrap();
-        let out = session
-            .apply_batch(
-                &Graph::from_triples([t("b", "knows", iri("hub"))]),
-                &Graph::new(),
-            )
-            .unwrap();
-        assert_eq!(out.report.inserted, 1);
-        assert_eq!(out.results[0].results.len(), 2);
-        // Next batch is served differentially on the sharded engine too.
-        let out = session
-            .apply_batch(
-                &Graph::from_triples([t("c", "knows", iri("hub"))]),
-                &Graph::new(),
-            )
-            .unwrap();
-        assert!(out.results[0].incremental);
-        assert_eq!(out.results[0].added.len(), 1);
-        assert_eq!(out.results[0].results.len(), 3);
-        session.store_mut().flush_compactions();
+        let pooled = reg.evaluate_all_pooled(&runtime, store).unwrap();
+        assert_eq!(seq.len(), pooled.len());
+        assert_eq!(seq[0].results.rows.len(), pooled[0].results.rows.len());
     }
 
     /// A query registered mid-stream seeds from the store state that
@@ -1091,7 +890,7 @@ mod tests {
         assert_eq!(
             cache.stats().recosts,
             1,
-            "hybrid: the plan compiled at epoch 0 re-costs after 3 direct applies"
+            "one shard: the plan compiled at epoch 0 re-costs after 3 direct applies"
         );
 
         let mut sharded = ShardedHybridStore::build(
@@ -1108,7 +907,7 @@ mod tests {
             sharded.apply(&g, &Graph::new()).unwrap();
         }
         cache.execute_text(&sharded, q, &opts).unwrap();
-        assert_eq!(cache.stats().recosts, 1, "sharded: same staleness clock");
+        assert_eq!(cache.stats().recosts, 1, "two shards: same staleness clock");
     }
 
     /// The session's stats surface WAL durability degradation instead of

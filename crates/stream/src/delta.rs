@@ -16,13 +16,15 @@
 //! | `Restored` | yes          | yes (tombstone undone)  |
 //! | `Cancelled`| no           | no (insert undone)      |
 //!
-//! The [`HybridStore`](crate::HybridStore) performs the transitions (it
-//! knows baseline membership); the `DeltaStore` enforces none of it and
-//! simply stores what it is told.
+//! The [`ShardedHybridStore`](crate::ShardedHybridStore) performs the
+//! transitions (it knows baseline membership); the `DeltaStore` enforces
+//! none of it and simply stores what it is told.
 //!
-//! Literals are interned in a content-deduplicated side table; a delta
-//! literal id is local to this overlay and is surfaced to the query layer
-//! offset by [`crate::OVERFLOW_BASE`].
+//! A literal object is keyed by an interned literal id, surfaced to the
+//! query layer offset by [`crate::OVERFLOW_BASE`]. The sharded store
+//! interns overlay literals in one table shared by all its shards; the
+//! `DeltaStore`'s own content-deduplicated side table serves standalone
+//! overlays.
 
 use se_rbtree::RbTree;
 use se_rdf::Literal;

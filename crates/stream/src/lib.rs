@@ -10,22 +10,24 @@
 //!   inserted/deleted triples in identifier space, held in red-black
 //!   trees (`se-rbtree`) with PSO/POS access paths and a
 //!   content-interned literal table;
-//! * [`HybridStore`] — the merged query view over baseline + overlay. It
-//!   implements `se-core`'s [`TripleSource`](se_core::TripleSource), so
-//!   the unmodified `se-sparql` executor (merge joins, LiteMat interval
-//!   reasoning, Algorithm 1 ordering) runs against live data. Terms
-//!   unseen at build time go to *overflow dictionaries*
+//! * [`ShardedHybridStore`] — the one engine: the merged query view over
+//!   N `baseline + overlay` shards (`build(.., 1)` is the single store).
+//!   It implements `se-core`'s [`TripleSource`](se_core::TripleSource),
+//!   so the unmodified `se-sparql` executor (merge joins, LiteMat
+//!   interval reasoning, Algorithm 1 ordering) runs against live data.
+//!   Terms unseen at build time go to *overflow dictionaries*
 //!   ([`OVERFLOW_BASE`]);
-//! * **compaction** — past a [`CompactionPolicy`] threshold the overlay
-//!   is folded back: baseline + delta are materialized to a term graph
-//!   and the succinct layers are rebuilt (overflow terms gain LiteMat
-//!   codes via ontology augmentation);
-//! * [`persist`] — delta-aware v02 persistence: baseline layer files
-//!   (raw v01 `SuccinctEdgeStore` bytes, reused save to save) plus a raw
-//!   overlay snapshot (tombstones, overflow dictionaries, interned
-//!   literals) and a sharded manifest, so `save` is `&self`, never
-//!   compacts, and shutdown/restart is O(delta) — see the byte-level
-//!   format spec in the module docs;
+//! * **compaction** — past a [`CompactionPolicy`] threshold a shard's
+//!   overlay is folded into fresh succinct layers in the same id space,
+//!   on a background worker or inline; nothing is re-encoded (the
+//!   [`shard`] docs say why reasoning over stream-born terms still
+//!   matches a rebuild);
+//! * [`persist`] — delta-aware v02 persistence: shard layer files
+//!   (reused save to save) plus raw overlay snapshots (tombstones,
+//!   overflow dictionaries, interned literals) tied together by a
+//!   manifest, so `save` is `&self`, never compacts, and
+//!   shutdown/restart is O(delta) — see the byte-level format spec in
+//!   the module docs. The paper's v01 single files still load;
 //! * [`ContinuousQueryRegistry`] / [`StreamSession`] — SPARQL queries
 //!   parsed once, re-evaluated over the hybrid view after every ingested
 //!   batch: the paper's "one query per graph instance" loop without the
@@ -49,7 +51,7 @@
 //!              │    layouts)              │        content-interned table
 //!              ▼                          ▼
 //!        ┌─────────┐                ┌─────────┐
-//!        │ shard 0 │       …        │ shard N │   one scoped worker each:
+//!        │ shard 0 │       …        │ shard N │   one pool worker each:
 //!        │ layers  │                │ layers  │   baseline probes + rbtree
 //!        │ + delta │                │ + delta │   overlay insertion in parallel
 //!        └────┬────┘                └────┬────┘
@@ -76,10 +78,8 @@
 //!   condvar pair): the store submits one owned job, the worker wakes,
 //!   runs it, parks again; the store reaps the output blocking
 //!   (ingest), by polling (background rebuilds), or scoped (queries).
-//!   Waking a parked worker costs microseconds — the ~100µs per-batch
-//!   `thread::scope` spawn cost of the old ingest path is gone, which
-//!   moves the parallel break-even down from ~1k ops to
-//!   [`POOL_MIN_OPS`] ops per batch.
+//!   Waking a parked worker costs microseconds, which puts the parallel
+//!   break-even at [`POOL_MIN_OPS`] ops per batch.
 //! * **Pipeline stages.** `apply` is a two-stage pipeline: the caller
 //!   encodes + routes operations into recycled per-shard buffers and
 //!   hands off a chunk every [`PIPELINE_CHUNK`] ops, so workers drain
@@ -104,16 +104,12 @@
 //! layers (pure, id-stable), and a later `apply` **atomically swaps** the
 //! result in, rebasing any writes that raced the rebuild via a pure
 //! visibility rule. `apply` latency is therefore bounded by routing +
-//! overlay insertion + swap — never by layer construction. The single
-//! [`HybridStore`] exposes the same split (`plan_compaction` /
-//! [`CompactionPlan::build`] / `swap_baseline`) for callers that manage
-//! their own threads.
+//! overlay insertion + swap — never by layer construction.
 
 pub mod continuous;
 pub mod delta;
 pub mod error;
 pub mod fault;
-pub mod hybrid;
 pub mod incremental;
 pub mod persist;
 pub mod runtime;
@@ -123,20 +119,16 @@ pub mod wal;
 
 pub use continuous::{
     replay_record, BatchOutcome, ContinuousQuery, ContinuousQueryRegistry, ContinuousResult,
-    StreamSession, StreamStats, StreamStore,
+    StreamSession, StreamStats,
 };
 pub use delta::{DeltaObj, DeltaState, DeltaStore};
 pub use error::StreamError;
-pub use hybrid::{
-    BatchDelta, CompactionPlan, CompactionPolicy, HybridStats, HybridStore, IngestReport,
-    OVERFLOW_BASE,
-};
 pub use incremental::EvalStrategy;
-pub use persist::{PersistentStore, SaveReport};
+pub use persist::SaveReport;
 pub use runtime::ShardRuntime;
 pub use shard::{
-    IngestMode, ShardPolicy, ShardedHybridStore, ShardedStats, LIT_SHARD_STRIDE, MAX_SHARDS,
-    PIPELINE_CHUNK, POOL_MIN_OPS,
+    BatchDelta, CompactionPolicy, IngestMode, IngestReport, ShardPolicy, ShardedHybridStore,
+    ShardedStats, LIT_SHARD_STRIDE, MAX_SHARDS, OVERFLOW_BASE, PIPELINE_CHUNK, POOL_MIN_OPS,
 };
 pub use snapshot::StoreSnapshot;
 pub use wal::{
@@ -184,8 +176,26 @@ mod tests {
         ])
     }
 
-    fn hybrid() -> HybridStore {
-        HybridStore::build(&ontology(), &seed_graph()).unwrap()
+    fn hybrid() -> ShardedHybridStore {
+        ShardedHybridStore::build(&ontology(), &seed_graph(), 1).unwrap()
+    }
+
+    /// Applies a one-triple insert batch; `true` if the triple became
+    /// visible (`false` for a duplicate).
+    fn insert(h: &mut ShardedHybridStore, t: Triple) -> Result<bool, StreamError> {
+        Ok(h.apply(&Graph::from_triples([t]), &Graph::new())?.inserted == 1)
+    }
+
+    /// Applies a one-triple delete batch; `true` if the triple stopped
+    /// being visible (`false` if it was not present).
+    fn delete(h: &mut ShardedHybridStore, t: Triple) -> Result<bool, StreamError> {
+        Ok(h.apply(&Graph::new(), &Graph::from_triples([t]))?.deleted == 1)
+    }
+
+    fn norm(g: &Graph) -> Vec<String> {
+        let mut v: Vec<String> = g.iter().map(|t| t.to_string()).collect();
+        v.sort();
+        v
     }
 
     #[test]
@@ -202,9 +212,9 @@ mod tests {
     #[test]
     fn insert_then_query_without_rebuild() {
         let mut h = hybrid();
-        assert!(h.insert_triple(&t("b", "knows", iri("a"))).unwrap());
+        assert!(insert(&mut h, t("b", "knows", iri("a"))).unwrap());
         // Duplicate insert is a no-op.
-        assert!(!h.insert_triple(&t("b", "knows", iri("a"))).unwrap());
+        assert!(!insert(&mut h, t("b", "knows", iri("a"))).unwrap());
         assert_eq!(h.len(), 7);
         let knows = h.property_id("http://x/knows").unwrap();
         let a = h.instance_id(&iri("a")).unwrap();
@@ -217,8 +227,8 @@ mod tests {
     #[test]
     fn delete_baseline_triple_tombstones_it() {
         let mut h = hybrid();
-        assert!(h.delete_triple(&t("a", "knows", iri("b"))).unwrap());
-        assert!(!h.delete_triple(&t("a", "knows", iri("b"))).unwrap());
+        assert!(delete(&mut h, t("a", "knows", iri("b"))).unwrap());
+        assert!(!delete(&mut h, t("a", "knows", iri("b"))).unwrap());
         assert_eq!(h.len(), 5);
         let knows = h.property_id("http://x/knows").unwrap();
         let a = h.instance_id(&iri("a")).unwrap();
@@ -226,7 +236,7 @@ mod tests {
         assert_eq!(h.predicate_count(knows), 0);
         // Re-insert restores visibility through the baseline copy (no
         // duplicate in scans).
-        assert!(h.insert_triple(&t("a", "knows", iri("b"))).unwrap());
+        assert!(insert(&mut h, t("a", "knows", iri("b"))).unwrap());
         assert_eq!(h.objects(knows, a).len(), 1);
         assert_eq!(h.scan_predicate(knows).len(), 1);
     }
@@ -234,8 +244,8 @@ mod tests {
     #[test]
     fn insert_then_delete_overlay_triple_cancels() {
         let mut h = hybrid();
-        h.insert_triple(&t("c", "knows", iri("a"))).unwrap();
-        assert!(h.delete_triple(&t("c", "knows", iri("a"))).unwrap());
+        insert(&mut h, t("c", "knows", iri("a"))).unwrap();
+        assert!(delete(&mut h, t("c", "knows", iri("a"))).unwrap());
         assert_eq!(h.len(), 6);
         let knows = h.property_id("http://x/knows").unwrap();
         let c = h.instance_id(&iri("c")).unwrap();
@@ -246,10 +256,9 @@ mod tests {
     fn overflow_terms_are_queryable() {
         let mut h = hybrid();
         // Unknown subject, property and class.
-        h.insert_triple(&t("newSensor", "emits", iri("a"))).unwrap();
-        h.insert_triple(&ty("newSensor", "NewKind")).unwrap();
-        h.insert_triple(&t("newSensor", "reading", Term::literal("7.5")))
-            .unwrap();
+        insert(&mut h, t("newSensor", "emits", iri("a"))).unwrap();
+        insert(&mut h, ty("newSensor", "NewKind")).unwrap();
+        insert(&mut h, t("newSensor", "reading", Term::literal("7.5"))).unwrap();
         let p = h.property_id("http://x/emits").unwrap();
         assert!(p >= OVERFLOW_BASE);
         let ns = h.instance_id(&iri("newSensor")).unwrap();
@@ -274,8 +283,8 @@ mod tests {
     #[test]
     fn type_queries_with_reasoning_see_overlay() {
         let mut h = hybrid();
-        h.insert_triple(&ty("c", "C2")).unwrap();
-        h.delete_triple(&ty("b", "C1")).unwrap();
+        insert(&mut h, ty("c", "C2")).unwrap();
+        delete(&mut h, ty("b", "C1")).unwrap();
         let iv = h.concept_interval("http://x/C1").unwrap();
         let a = h.instance_id(&iri("a")).unwrap();
         let c = h.instance_id(&iri("c")).unwrap();
@@ -291,7 +300,7 @@ mod tests {
     #[test]
     fn property_interval_reasoning_sees_overlay() {
         let mut h = hybrid();
-        h.insert_triple(&t("c", "worksFor", iri("org"))).unwrap();
+        insert(&mut h, t("c", "worksFor", iri("org"))).unwrap();
         let iv = h.property_interval("http://x/memberOf").unwrap();
         let org = h.instance_id(&iri("org")).unwrap();
         let subs = h.subjects_interval(iv, &Value::Instance(org));
@@ -304,14 +313,12 @@ mod tests {
         let mut h = hybrid();
         let age = h.property_id("http://x/age").unwrap();
         // Delete the baseline literal triple.
-        h.delete_triple(&t("a", "age", Term::literal("42")))
-            .unwrap();
+        delete(&mut h, t("a", "age", Term::literal("42"))).unwrap();
         assert!(h
             .subjects_by_literal(age, &Literal::string("42"))
             .is_empty());
         // Add a fresh one for another subject.
-        h.insert_triple(&t("b", "age", Term::literal("42")))
-            .unwrap();
+        insert(&mut h, t("b", "age", Term::literal("42"))).unwrap();
         let b = h.instance_id(&iri("b")).unwrap();
         assert_eq!(h.subjects_by_literal(age, &Literal::string("42")), vec![b]);
     }
@@ -319,28 +326,31 @@ mod tests {
     #[test]
     fn compaction_preserves_view_and_folds_overflow() {
         let mut h = hybrid();
-        h.insert_triple(&t("newSensor", "emits", iri("a"))).unwrap();
-        h.insert_triple(&ty("newSensor", "NewKind")).unwrap();
-        h.delete_triple(&t("a", "knows", iri("b"))).unwrap();
+        insert(&mut h, t("newSensor", "emits", iri("a"))).unwrap();
+        insert(&mut h, ty("newSensor", "NewKind")).unwrap();
+        delete(&mut h, t("a", "knows", iri("b"))).unwrap();
+        let emits = h.property_id("http://x/emits").unwrap();
+        let kind = h.concept_id("http://x/NewKind").unwrap();
         let before = h.materialize();
-        h.compact().unwrap();
-        assert!(h.delta().is_empty());
+        h.compact_shard(0);
+        assert_eq!(h.overlay_len(), 0);
         assert_eq!(h.stats().compactions, 1);
-        let after = h.materialize();
-        let norm = |g: &Graph| {
-            let mut v: Vec<String> = g.iter().map(|t| t.to_string()).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(norm(&before), norm(&after));
-        // Overflow terms now live in the rebuilt dictionaries.
-        assert!(h.property_id("http://x/emits").unwrap() < OVERFLOW_BASE);
-        assert!(h.concept_id("http://x/NewKind").unwrap() < OVERFLOW_BASE);
+        assert_eq!(norm(&before), norm(&h.materialize()));
+        // Overflow triples now live in the rebuilt layers under their
+        // stable ids, and the root concept still covers them.
+        assert_eq!(h.property_id("http://x/emits"), Some(emits));
+        assert_eq!(h.concept_id("http://x/NewKind"), Some(kind));
+        let ns = h.instance_id(&iri("newSensor")).unwrap();
+        assert_eq!(h.subjects_of_concept(kind), vec![ns]);
+        let thing = h.concept_interval(se_rdf::vocab::owl::THING).unwrap();
+        assert!(h.has_type_in_interval(ns, thing));
     }
 
     #[test]
     fn policy_triggers_compaction_during_apply() {
-        let mut h = hybrid().with_policy(CompactionPolicy { max_overlay: 3 });
+        let mut h = hybrid()
+            .with_policy(CompactionPolicy { max_overlay: 3 })
+            .with_background_compaction(false);
         let inserts = Graph::from_triples([
             t("c", "knows", iri("a")),
             t("d", "knows", iri("a")),
@@ -358,19 +368,14 @@ mod tests {
     #[test]
     fn persist_roundtrip_through_compaction() {
         let mut h = hybrid();
-        h.insert_triple(&t("c", "knows", iri("a"))).unwrap();
-        h.delete_triple(&ty("b", "C1")).unwrap();
+        insert(&mut h, t("c", "knows", iri("a"))).unwrap();
+        delete(&mut h, ty("b", "C1")).unwrap();
         let mut path = std::env::temp_dir();
         path.push(format!("se-stream-persist-{}.v02", std::process::id()));
         h.save(&path).unwrap();
-        let back = HybridStore::load(&path, &ontology()).unwrap();
+        let back = ShardedHybridStore::load(&path, &ontology()).unwrap();
         std::fs::remove_dir_all(&path).ok();
         assert_eq!(back.len(), h.len());
-        let norm = |g: &Graph| {
-            let mut v: Vec<String> = g.iter().map(|t| t.to_string()).collect();
-            v.sort();
-            v
-        };
         assert_eq!(norm(&back.materialize()), norm(&h.materialize()));
     }
 
@@ -383,7 +388,7 @@ mod tests {
             object: iri("o"),
         };
         assert!(matches!(
-            h.insert_triple(&bad),
+            insert(&mut h, bad),
             Err(StreamError::Malformed(_))
         ));
         let bad_type = Triple {
@@ -392,7 +397,7 @@ mod tests {
             object: Term::literal("bad"),
         };
         assert!(matches!(
-            h.insert_triple(&bad_type),
+            insert(&mut h, bad_type),
             Err(StreamError::Malformed(_))
         ));
     }
@@ -411,10 +416,13 @@ mod tests {
             g.insert(t(&format!("s{i}"), "q", iri("hub")));
             g.insert(t(&format!("s{i}"), "p", iri("target")));
         }
-        let mut h = HybridStore::build(&o, &g).unwrap();
+        let mut h = ShardedHybridStore::build(&o, &g, 1).unwrap();
         for i in 0..20 {
-            h.insert_triple(&t(&format!("s{i}"), "p", Term::literal(format!("v{i}"))))
-                .unwrap();
+            insert(
+                &mut h,
+                t(&format!("s{i}"), "p", Term::literal(format!("v{i}"))),
+            )
+            .unwrap();
         }
         let p = h.property_id("http://x/p").unwrap();
         let subjects: Vec<u64> = h.scan_predicate(p).iter().map(|(s, _)| *s).collect();
@@ -445,81 +453,29 @@ mod tests {
     #[test]
     fn noop_operations_allocate_nothing() {
         let mut h = hybrid();
+        // A dirty overlay keeps the literal table from being reclaimed at
+        // quiescence, so a literal any no-op interned would stay visible.
+        assert!(insert(&mut h, t("c", "knows", iri("a"))).unwrap());
         // Delete of an absent triple whose terms are all unknown.
-        assert!(!h
-            .delete_triple(&t("ghost", "phantom", iri("nowhere")))
-            .unwrap());
-        assert!(!h.delete_triple(&ty("ghost", "NoClass")).unwrap());
-        assert!(!h
-            .delete_triple(&t("ghost", "reading", Term::literal("404")))
-            .unwrap());
+        assert!(!delete(&mut h, t("ghost", "phantom", iri("nowhere"))).unwrap());
+        assert!(!delete(&mut h, ty("ghost", "NoClass")).unwrap());
+        assert!(!delete(&mut h, t("ghost", "reading", Term::literal("404"))).unwrap());
         assert_eq!(h.instance_id(&iri("ghost")), None, "no instance allocated");
         assert_eq!(h.property_id("http://x/phantom"), None);
         assert_eq!(h.concept_id("http://x/NoClass"), None);
-        assert_eq!(h.delta().literal_id(&Literal::string("404")), None);
+        assert!(h.literals.literals.is_empty(), "no literal interned");
         // Duplicate insert of a baseline literal triple interns nothing.
-        assert!(!h
-            .insert_triple(&t("a", "age", Term::literal("42")))
-            .unwrap());
-        assert_eq!(h.delta().literal_id(&Literal::string("42")), None);
-        assert!(h.delta().is_empty());
-        assert_eq!(h.len(), 6);
-    }
-
-    #[test]
-    fn split_compaction_plan_build_swap_equals_inline() {
-        let mut split = hybrid();
-        let mut inline = hybrid();
-        for h in [&mut split, &mut inline] {
-            h.insert_triple(&t("newSensor", "emits", iri("a"))).unwrap();
-            h.delete_triple(&t("a", "knows", iri("b"))).unwrap();
-        }
-        let plan = split.plan_compaction();
-        assert_eq!(plan.len(), split.materialize().len());
-        let rebuilt = plan.build().unwrap();
-        split.swap_baseline(rebuilt).unwrap();
-        inline.compact().unwrap();
-        assert!(split.delta().is_empty(), "covered overlay collapses away");
-        let norm = |g: &Graph| {
-            let mut v: Vec<String> = g.iter().map(|t| t.to_string()).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(norm(&split.materialize()), norm(&inline.materialize()));
-        assert_eq!(split.stats().compactions, 1);
-    }
-
-    #[test]
-    fn swap_baseline_rebases_writes_raced_between_plan_and_swap() {
-        let mut h = hybrid();
-        h.insert_triple(&t("c", "knows", iri("a"))).unwrap();
-        let plan = h.plan_compaction();
-        // Writes landing while the (simulated) worker rebuilds: a fresh
-        // insert, a delete of a planned triple, and a delete of a
-        // baseline triple.
-        h.insert_triple(&t("d", "knows", iri("a"))).unwrap();
-        h.delete_triple(&t("c", "knows", iri("a"))).unwrap();
-        h.delete_triple(&t("a", "worksFor", iri("org"))).unwrap();
-        let rebuilt = plan.build().unwrap();
-        h.swap_baseline(rebuilt).unwrap();
-        // The raced writes survive the swap.
-        let knows = h.property_id("http://x/knows").unwrap();
-        let a = h.instance_id(&iri("a")).unwrap();
-        let d = h.instance_id(&iri("d")).unwrap();
-        assert_eq!(h.subjects(knows, &Value::Instance(a)), vec![d]);
-        let works = h.property_id("http://x/worksFor").unwrap();
-        assert_eq!(h.predicate_count(works), 0);
-        assert_eq!(h.len(), 6, "6 seed + c + d - c - worksFor = 6");
-        // And the overlay holds exactly the raced writes, nothing stale:
-        // d→a as an insert; tombstones for the two deletes (c→a was in
-        // the plan, so its raced delete rebases to a tombstone).
-        assert_eq!(h.delta().added(), 1);
-        assert_eq!(h.delta().deleted(), 2);
+        assert!(!insert(&mut h, t("a", "age", Term::literal("42"))).unwrap());
+        assert!(h.literals.literals.is_empty());
+        assert_eq!(h.overlay_len(), 1);
+        assert_eq!(h.len(), 7);
     }
 
     #[test]
     fn apply_reports_batch_timings() {
-        let mut h = hybrid().with_policy(CompactionPolicy { max_overlay: 2 });
+        let mut h = hybrid()
+            .with_policy(CompactionPolicy { max_overlay: 2 })
+            .with_background_compaction(false);
         let report = h
             .apply(
                 &Graph::from_triples([

@@ -1,11 +1,11 @@
 //! Delta-aware v02 persistence: overlay snapshots + sharded manifest,
 //! making shutdown/restart O(delta) instead of O(rebuild).
 //!
-//! The v01 path ([`HybridStore::save_to_file`]) collapses the paper's
-//! baseline/overlay split at shutdown: it **compacts** (a full succinct
-//! rebuild) and dumps the result, so saving a dirty store costs as much
-//! as rebuilding it — and the sharded engine had no persistence at all.
-//! v02 keeps the split on disk:
+//! The paper's v01 format ([`SuccinctEdgeStore::save_to_file`]) is one
+//! file holding a static store: writing it from a streaming store would
+//! mean folding the overlay into a full rebuild first, so saving a dirty
+//! store would cost as much as rebuilding it. v02 keeps the
+//! baseline/overlay split on disk:
 //!
 //! * the immutable **baseline layers** are written once per compaction
 //!   generation and *reused* by every later save (the store remembers
@@ -23,7 +23,8 @@
 //! O(delta) once the baseline files exist. `load` rebuilds the store with
 //! every identifier stable — no re-encoding — so continuous queries
 //! resume over the reloaded store bit-identically
-//! ([`StreamSession::resume`]).
+//! ([`StreamSession::resume`]). [`ShardedHybridStore::load`] also reads
+//! a single v01 file, building a one-shard store from its triples.
 //!
 //! # Container framing
 //!
@@ -34,29 +35,7 @@
 //! as a distinct, clean [`StreamError`] — never a panic. All integers
 //! are little-endian; strings are length-prefixed UTF-8 (`write_str`).
 //!
-//! # Single-store layout (`HybridStore`), one directory
-//!
-//! ```text
-//! baseline-g<seq>.v01      raw, unchanged v01 SuccinctEdgeStore bytes
-//!                          (loadable by SuccinctEdgeStore::load);
-//!                          rewritten only after a compaction swapped the
-//!                          baseline, under a directory-unique <seq> so a
-//!                          file the current manifest references is never
-//!                          overwritten
-//! hybrid.manifest          magic "SEHYBv02", version 2, sections:
-//!   META  baseline file name (str), baseline gen (u64),
-//!         baseline FNV-1a checksum (u64), baseline byte length (u64),
-//!         compaction policy max_overlay (u64)
-//!   OVFI  overflow instances: base_len (u64), count (u64), keys (str…)
-//!         — ids are `base_len + position`
-//!   OVFP  overflow properties: count (u64), IRIs (str…) — ids are
-//!         `OVERFLOW_BASE + position`
-//!   OVFC  overflow concepts, same shape
-//!   DELT  overlay: interned literal table (count + literals, id =
-//!         position), then the delta entries (see *Overlay encoding*)
-//! ```
-//!
-//! # Sharded layout (`ShardedHybridStore`), one directory
+//! # Directory layout
 //!
 //! ```text
 //! dicts-g<seq>.bin         magic "SESHDv02": sections CONC, PROP — the
@@ -88,11 +67,14 @@
 //!   META  shard count (u64), routing policy tag (str: "round_robin" |
 //!         "hash_iri" | "custom"), round-robin cursor (u64),
 //!         LIT_SHARD_STRIDE (u64), instance dictionary length (u64),
-//!         dictionary file name (str), compaction max_overlay (u64)
+//!         dictionary file name (str), compaction max_overlay (u64),
+//!         write epoch (u64)
 //!   ISEG  instance segments: count, then (file str, from u64, to u64)…
 //!   ROUT  routing table: property assignments (count + (id, shard)…,
 //!         sorted by id), then concept assignments, same shape
-//!   OVFP / OVFC  shared overflow dictionaries (as above)
+//!   OVFP  overflow properties: count (u64), IRIs (str…) — ids are
+//!         `OVERFLOW_BASE + position`
+//!   OVFC  overflow concepts, same shape
 //!   LITS  shared overlay-literal table: count + literals (id = position)
 //!   SHRD  per shard: layer file (str), shard gen (u64), overlay file
 //!         (str)
@@ -139,21 +121,22 @@
 //! instead of rewriting the overlay snapshot) and per-batch group
 //! commit on top of the PR 3 ingest pipeline.
 
-use crate::continuous::{StreamSession, StreamStore};
+use crate::continuous::StreamSession;
 use crate::delta::{DeltaObj, DeltaState, DeltaStore};
 use crate::error::StreamError;
-use crate::hybrid::{CompactionPolicy, HybridStore, OverflowDict, OverflowInstances};
-use crate::shard::{ShardBase, ShardPolicy, ShardedHybridStore, LIT_SHARD_STRIDE};
+use crate::shard::{
+    CompactionPolicy, OverflowDict, ShardBase, ShardPolicy, ShardedHybridStore, LIT_SHARD_STRIDE,
+};
 use se_core::datatype::DatatypeLayer;
 use se_core::layer::TripleLayer;
 use se_core::typestore::RdfTypeStore;
-use se_core::SuccinctEdgeStore;
+use se_core::{SuccinctEdgeStore, Value};
 use se_litemat::{Dictionaries, InstanceDictionary, LiteMatDictionary};
 use se_ontology::Ontology;
-use se_rdf::{Graph, Literal};
+use se_rdf::{Graph, Literal, Term, Triple};
 use se_sds::{
-    checksum64, expect_section, read_container_header, write_container_header, write_section,
-    ReadBin, Serialize, WriteBin,
+    expect_section, read_container_header, write_container_header, write_section, ReadBin,
+    Serialize, WriteBin,
 };
 use std::collections::HashMap;
 use std::io;
@@ -164,14 +147,11 @@ use std::sync::MutexGuard;
 /// Highest format version this build reads and the version it writes.
 pub const FORMAT_VERSION: u32 = 2;
 
-/// Root manifest file name of a persisted [`HybridStore`] directory.
-pub const HYBRID_MANIFEST: &str = "hybrid.manifest";
 /// Root manifest file name of a persisted [`ShardedHybridStore`] directory.
 pub const SHARD_MANIFEST: &str = "store.manifest";
 /// Session checkpoint file name ([`StreamSession::save`]).
 pub const SESSION_FILE: &str = "session.v02";
 
-const HYBRID_MAGIC: &[u8; 8] = b"SEHYBv02";
 const SHARD_MANIFEST_MAGIC: &[u8; 8] = b"SESHMv02";
 const LAYER_MAGIC: &[u8; 8] = b"SESHLv02";
 const OVERLAY_MAGIC: &[u8; 8] = b"SESHOv02";
@@ -189,7 +169,7 @@ pub(crate) fn next_generation() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// What one [`HybridStore::save`] / [`ShardedHybridStore::save`] did —
+/// What one [`ShardedHybridStore::save`] did —
 /// the observable shape of the O(delta) contract: in the steady state
 /// `baseline_files_written` is 0 and only `delta_bytes` scale with the
 /// overlay.
@@ -205,16 +185,6 @@ pub struct SaveReport {
     pub delta_bytes: u64,
     /// Overlay entries captured in this snapshot.
     pub overlay_entries: usize,
-}
-
-/// Where a [`HybridStore`] baseline generation already lives on disk.
-#[derive(Debug, Clone)]
-pub(crate) struct BaselineMark {
-    pub(crate) dir: PathBuf,
-    pub(crate) file: String,
-    pub(crate) gen: u64,
-    pub(crate) checksum: u64,
-    pub(crate) bytes: u64,
 }
 
 /// One persisted instance-dictionary segment (ids `[from, to)`).
@@ -395,8 +365,8 @@ fn state_from_u8(b: u8) -> io::Result<DeltaState> {
     })
 }
 
-/// Serializes the delta *entries* (not the literal table — the sharded
-/// store keeps literals in a shared table outside the per-shard deltas).
+/// Serializes the delta *entries* (literal ids point into the store's
+/// shared table, which the manifest persists once for all shards).
 fn write_delta_entries(w: &mut Vec<u8>, d: &DeltaStore) -> io::Result<()> {
     let entries: Vec<_> = d.iter().collect();
     w.write_u64(entries.len() as u64)?;
@@ -425,8 +395,7 @@ fn write_delta_entries(w: &mut Vec<u8>, d: &DeltaStore) -> io::Result<()> {
     Ok(())
 }
 
-/// Replays persisted delta entries into `d` (whose literal table, if
-/// any, must already be interned so ids resolve).
+/// Replays persisted delta entries into `d`.
 fn read_delta_entries(r: &mut &[u8], d: &mut DeltaStore) -> io::Result<()> {
     let n = r.read_u64()?;
     for _ in 0..n {
@@ -448,32 +417,6 @@ fn read_delta_entries(r: &mut &[u8], d: &mut DeltaStore) -> io::Result<()> {
         d.set_type(s, c, st);
     }
     Ok(())
-}
-
-/// The single store's DELT payload: its own literal table + the entries.
-fn hybrid_delta_bytes(d: &DeltaStore) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.write_u64(d.literal_count() as u64)
-        .expect("serializing to Vec cannot fail");
-    for lit in d.literals() {
-        write_literal(&mut buf, lit).expect("serializing to Vec cannot fail");
-    }
-    write_delta_entries(&mut buf, d).expect("serializing to Vec cannot fail");
-    buf
-}
-
-fn hybrid_delta_from_bytes(mut r: &[u8]) -> io::Result<DeltaStore> {
-    let mut d = DeltaStore::new();
-    let n = r.read_u64()?;
-    for i in 0..n {
-        let lit = read_literal(&mut r)?;
-        let id = d.intern_literal(&lit);
-        if id != i {
-            return invalid("duplicate literal in persisted table");
-        }
-    }
-    read_delta_entries(&mut r, &mut d)?;
-    Ok(d)
 }
 
 // ------------------------------------------- overflow dictionary encoding
@@ -498,189 +441,31 @@ fn ovf_dict_from_bytes(mut r: &[u8]) -> io::Result<OverflowDict> {
     Ok(d)
 }
 
-fn ovf_instances_bytes(d: &OverflowInstances) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.write_u64(d.base_len())
-        .expect("serializing to Vec cannot fail");
-    let mut rest = ovf_dict_bytes(d.terms());
-    buf.append(&mut rest);
-    buf
-}
-
-fn ovf_instances_from_bytes(mut r: &[u8]) -> io::Result<OverflowInstances> {
-    let base_len = r.read_u64()?;
-    let n = r.read_u64()?;
-    let mut keys = Vec::with_capacity(capped(n));
-    for _ in 0..n {
-        keys.push(r.read_str()?);
+/// The triples of a static v01 store, decoded to term space. An id the
+/// file's dictionaries cannot decode is corruption, not a panic.
+fn v01_triples(base: &SuccinctEdgeStore) -> Result<Graph, StreamError> {
+    let term = |v: Value| {
+        base.value_to_term(v)
+            .ok_or_else(|| StreamError::Corrupt(format!("v01 file: undecodable {v:?}")))
+    };
+    let mut g = Graph::new();
+    for (p, s, o) in base.object_layer().iter() {
+        let (s, p, o) = (Value::Instance(s), Value::Property(p), Value::Instance(o));
+        g.insert(Triple::new(term(s)?, term(p)?, term(o)?));
     }
-    Ok(OverflowInstances::from_keys(base_len, keys.into_iter()))
-}
-
-// -------------------------------------------------- HybridStore save/load
-
-impl HybridStore {
-    /// Writes the v02 snapshot of this store into `dir` — `&self`,
-    /// **no compaction**, O(delta) once the baseline layer file exists
-    /// (it is rewritten only after a compaction swapped the baseline).
-    /// The directory is created if needed; the manifest is replaced
-    /// atomically. One store per directory.
-    pub fn save(&self, dir: &Path) -> Result<SaveReport, StreamError> {
-        std::fs::create_dir_all(dir)?;
-        let mut report = SaveReport {
-            overlay_entries: self.delta.overlay_len(),
-            ..SaveReport::default()
-        };
-        let mut guard = lock(&self.persist_mark);
-        let reusable = guard
-            .as_ref()
-            .filter(|m| m.dir == dir && m.gen == self.generation && dir.join(&m.file).is_file())
-            .cloned();
-        let mark = match reusable {
-            Some(m) => m,
-            None => {
-                // The baseline changed (or was never written here):
-                // serialize the unchanged v01 bytes once, under a
-                // directory-unique name so the file the current on-disk
-                // manifest references is never touched.
-                let mut bytes = Vec::new();
-                self.base.save(&mut bytes)?;
-                let file = format!("baseline-g{}.v01", next_file_seq(dir)?);
-                write_file_atomic(&dir.join(&file), &bytes)?;
-                report.baseline_files_written = 1;
-                report.baseline_bytes = bytes.len() as u64;
-                BaselineMark {
-                    dir: dir.to_path_buf(),
-                    checksum: checksum64(&bytes),
-                    bytes: bytes.len() as u64,
-                    gen: self.generation,
-                    file,
-                }
-            }
-        };
-
-        let mut buf = Vec::new();
-        write_container_header(&mut buf, HYBRID_MAGIC, FORMAT_VERSION)?;
-        let mut meta = Vec::new();
-        meta.write_str(&mark.file)?;
-        meta.write_u64(mark.gen)?;
-        meta.write_u64(mark.checksum)?;
-        meta.write_u64(mark.bytes)?;
-        meta.write_u64(self.policy().max_overlay as u64)?;
-        meta.write_u64(self.epoch)?;
-        write_section(&mut buf, b"META", &meta)?;
-        write_section(&mut buf, b"OVFI", &ovf_instances_bytes(&self.ovf_instances))?;
-        write_section(
-            &mut buf,
-            b"OVFP",
-            &ovf_dict_bytes(self.ovf_properties.terms()),
-        )?;
-        write_section(
-            &mut buf,
-            b"OVFC",
-            &ovf_dict_bytes(self.ovf_concepts.terms()),
-        )?;
-        write_section(&mut buf, b"DELT", &hybrid_delta_bytes(&self.delta))?;
-        write_file_atomic(&dir.join(HYBRID_MANIFEST), &buf)?;
-        report.delta_bytes = buf.len() as u64;
-        // Garbage only after the new manifest landed: a crash anywhere
-        // earlier leaves the previous manifest + its baseline intact.
-        remove_matching(dir, |n| {
-            n.starts_with("baseline-g") && n.ends_with(".v01") && n != mark.file
-        })?;
-        // WAL maintenance, also only after the rename: the new manifest
-        // covers every record up to `self.epoch`, so sealed segments at
-        // or below it are dead weight.
-        if let Some(wal) = lock(&self.wal).as_mut() {
-            if wal.dir() == dir {
-                wal.checkpoint(self.epoch)?;
-            }
-        }
-        *guard = Some(mark);
-        Ok(report)
+    for (p, s, li) in base.datatype_layer().iter() {
+        let (s, p, o) = (Value::Instance(s), Value::Property(p), Value::Literal(li));
+        g.insert(Triple::new(term(s)?, term(p)?, term(o)?));
     }
-
-    /// Loads a persisted store: a v02 directory written by
-    /// [`HybridStore::save`], or — for backward compatibility — a single
-    /// v01 file written by the deprecated compact-then-dump path (which
-    /// loads with an empty overlay). Ids are stable across the round
-    /// trip; corruption surfaces as [`StreamError::Corrupt`] /
-    /// [`StreamError::UnsupportedVersion`], never a panic.
-    pub fn load(path: &Path, ontology: &Ontology) -> Result<Self, StreamError> {
-        if path.is_file() {
-            return Self::load_from_file(path, ontology.clone());
-        }
-        let manifest = std::fs::read(path.join(HYBRID_MANIFEST))?;
-        let mut r = manifest.as_slice();
-        read_container_header(&mut r, HYBRID_MAGIC, FORMAT_VERSION)?;
-
-        let meta = expect_section(&mut r, b"META")?;
-        let mut m = meta.as_slice();
-        let (file, checksum, bytes_len, max_overlay, epoch) = (|| -> io::Result<_> {
-            let file = m.read_str()?;
-            let _gen_at_save = m.read_u64()?;
-            let checksum = m.read_u64()?;
-            let bytes_len = m.read_u64()?;
-            let max_overlay = m.read_u64()?;
-            // Epoch was appended to META later; files written before it
-            // simply restart the epoch counter at zero.
-            let epoch = if m.is_empty() { 0 } else { m.read_u64()? };
-            Ok((file, checksum, bytes_len, max_overlay, epoch))
-        })()
-        .map_err(corrupt("META"))?;
-
-        let base_bytes = read_referenced(path, &file)?;
-        if base_bytes.len() as u64 != bytes_len || checksum64(&base_bytes) != checksum {
-            return Err(StreamError::Corrupt(format!(
-                "baseline file '{file}' does not match the manifest checksum"
-            )));
-        }
-        let base = SuccinctEdgeStore::load(&mut base_bytes.as_slice())
-            .map_err(|e| StreamError::Corrupt(format!("baseline file '{file}': {e}")))?;
-
-        let ovf_instances =
-            ovf_instances_from_bytes(&expect_section(&mut r, b"OVFI")?).map_err(corrupt("OVFI"))?;
-        if ovf_instances.base_len() != base.dictionaries().instances.len() as u64 {
-            return Err(StreamError::Corrupt(format!(
-                "overflow base_len {} disagrees with the baseline instance dictionary ({})",
-                ovf_instances.base_len(),
-                base.dictionaries().instances.len()
-            )));
-        }
-        let ovf_properties =
-            ovf_dict_from_bytes(&expect_section(&mut r, b"OVFP")?).map_err(corrupt("OVFP"))?;
-        let ovf_concepts =
-            ovf_dict_from_bytes(&expect_section(&mut r, b"OVFC")?).map_err(corrupt("OVFC"))?;
-        let delta =
-            hybrid_delta_from_bytes(&expect_section(&mut r, b"DELT")?).map_err(corrupt("DELT"))?;
-
-        let generation = next_generation();
-        let mark = BaselineMark {
-            dir: path.to_path_buf(),
-            file,
-            gen: generation,
-            checksum,
-            bytes: bytes_len,
-        };
-        let mut store = HybridStore::from_loaded(
-            base,
-            ontology.clone(),
-            delta,
-            ovf_instances,
-            ovf_properties,
-            ovf_concepts,
-            CompactionPolicy {
-                max_overlay: max_overlay as usize,
-            },
-            generation,
-            epoch,
-            Some(mark),
-        );
-        replay_wal(&mut store, path, epoch, |s, ins, del| {
-            s.apply(ins, del).map(|_| ())
-        })?;
-        Ok(store)
+    let rdf_type = Term::iri(se_rdf::vocab::rdf::TYPE);
+    for (s, c) in base.type_store().iter() {
+        g.insert(Triple::new(
+            term(Value::Instance(s))?,
+            rdf_type.clone(),
+            term(Value::Concept(c))?,
+        ));
     }
+    Ok(g)
 }
 
 /// Replays the WAL tail past `manifest_epoch` into a freshly loaded
@@ -689,15 +474,13 @@ impl HybridStore {
 /// record's epoch because [`crate::wal::recover`] verified the records
 /// are consecutive. The store has no WAL attached at this point, so
 /// replaying does not re-append.
-fn replay_wal<S>(
-    store: &mut S,
+fn replay_wal(
+    store: &mut ShardedHybridStore,
     dir: &Path,
     manifest_epoch: u64,
-    mut apply: impl FnMut(&mut S, &Graph, &Graph) -> Result<(), StreamError>,
 ) -> Result<(), StreamError> {
     for rec in crate::wal::recover(dir, manifest_epoch)? {
-        apply(
-            store,
+        store.apply(
             &Graph::from_triples(rec.delta.added),
             &Graph::from_triples(rec.delta.removed),
         )?;
@@ -1100,13 +883,22 @@ impl ShardedHybridStore {
         Ok(report)
     }
 
-    /// Loads a persisted sharded store, restoring the persisted routing
+    /// Loads a persisted store: a v02 directory written by
+    /// [`ShardedHybridStore::save`], restoring the persisted routing
     /// policy tag ("custom" falls back to [`ShardPolicy::HashIri`] for
     /// terms not yet routed — every persisted assignment survives
-    /// verbatim). Use [`ShardedHybridStore::load_with_policy`] to
-    /// re-supply a `ByIri` hook.
-    pub fn load(dir: &Path, ontology: &Ontology) -> Result<Self, StreamError> {
-        Self::load_with_policy(dir, ontology, None)
+    /// verbatim), or a single v01 file written by
+    /// [`SuccinctEdgeStore::save_to_file`], whose triples become a
+    /// one-shard store. Use [`ShardedHybridStore::load_with_policy`] to
+    /// re-supply a `ByIri` hook. Corruption surfaces as
+    /// [`StreamError::Corrupt`] / [`StreamError::UnsupportedVersion`],
+    /// never a panic.
+    pub fn load(path: &Path, ontology: &Ontology) -> Result<Self, StreamError> {
+        if path.is_file() {
+            let base = SuccinctEdgeStore::load_from_file(path)?;
+            return Self::build(ontology, &v01_triples(&base)?, 1);
+        }
+        Self::load_with_policy(path, ontology, None)
     }
 
     /// Loads a persisted sharded store; `policy`, when given, replaces
@@ -1117,7 +909,13 @@ impl ShardedHybridStore {
         ontology: &Ontology,
         policy: Option<ShardPolicy>,
     ) -> Result<Self, StreamError> {
-        let manifest = std::fs::read(dir.join(SHARD_MANIFEST))?;
+        let manifest_path = dir.join(SHARD_MANIFEST);
+        let manifest = std::fs::read(&manifest_path).map_err(|e| {
+            StreamError::Io(io::Error::new(
+                e.kind(),
+                format!("{}: {e}", manifest_path.display()),
+            ))
+        })?;
         let mut r = manifest.as_slice();
         read_container_header(&mut r, SHARD_MANIFEST_MAGIC, FORMAT_VERSION)?;
 
@@ -1303,47 +1101,14 @@ impl ShardedHybridStore {
             epoch,
             Some(mark),
         );
-        replay_wal(&mut store, dir, epoch, |s, ins, del| {
-            s.apply(ins, del).map(|_| ())
-        })?;
+        replay_wal(&mut store, dir, epoch)?;
         Ok(store)
     }
 }
 
-// --------------------------------------------------------- trait + session
+// ---------------------------------------------------------------- session
 
-/// The persistence seam shared by both engines: v02 `save` is `&self`,
-/// O(delta) and compaction-free; `load` restores the store with every
-/// identifier stable. [`StreamSession`] uses it for whole-session
-/// checkpoints.
-pub trait PersistentStore: Sized {
-    /// Writes the store's v02 snapshot into `dir`.
-    fn save(&self, dir: &Path) -> Result<SaveReport, StreamError>;
-    /// Restores a store saved by [`PersistentStore::save`].
-    fn load(dir: &Path, ontology: &Ontology) -> Result<Self, StreamError>;
-}
-
-impl PersistentStore for HybridStore {
-    fn save(&self, dir: &Path) -> Result<SaveReport, StreamError> {
-        HybridStore::save(self, dir)
-    }
-
-    fn load(dir: &Path, ontology: &Ontology) -> Result<Self, StreamError> {
-        HybridStore::load(dir, ontology)
-    }
-}
-
-impl PersistentStore for ShardedHybridStore {
-    fn save(&self, dir: &Path) -> Result<SaveReport, StreamError> {
-        ShardedHybridStore::save(self, dir)
-    }
-
-    fn load(dir: &Path, ontology: &Ontology) -> Result<Self, StreamError> {
-        ShardedHybridStore::load(dir, ontology)
-    }
-}
-
-impl<S: StreamStore + PersistentStore> StreamSession<S> {
+impl StreamSession {
     /// Checkpoints the whole session: the store's v02 snapshot plus the
     /// registered continuous queries (`session.v02`), so a restarted
     /// process resumes the same queries over the same state.
@@ -1370,14 +1135,14 @@ impl<S: StreamStore + PersistentStore> StreamSession<S> {
     /// [`apply_batch`](StreamSession::apply_batch) evaluates them against
     /// the reloaded state exactly as the pre-restart session would have.
     pub fn resume(dir: &Path, ontology: &Ontology) -> Result<Self, StreamError> {
-        let store = S::load(dir, ontology)?;
+        let store = ShardedHybridStore::load(dir, ontology)?;
         Self::resume_with_store(dir, store)
     }
 
     /// Like [`StreamSession::resume`], but over a store the caller
     /// already loaded — the hook for
     /// [`ShardedHybridStore::load_with_policy`].
-    pub fn resume_with_store(dir: &Path, store: S) -> Result<Self, StreamError> {
+    pub fn resume_with_store(dir: &Path, store: ShardedHybridStore) -> Result<Self, StreamError> {
         let bytes = std::fs::read(dir.join(SESSION_FILE))?;
         let mut r = bytes.as_slice();
         read_container_header(&mut r, SESSION_MAGIC, FORMAT_VERSION)?;

@@ -1,8 +1,8 @@
-//! Epoch-pinned MVCC snapshots of the streaming stores.
+//! Epoch-pinned MVCC snapshots of the streaming store.
 //!
-//! [`StoreSnapshot`] is an immutable view of a [`HybridStore`] or
-//! [`ShardedHybridStore`] frozen at one logical write epoch. Taking one
-//! shares the succinct baseline layers by `Arc` (O(1)) and freezes the
+//! [`StoreSnapshot`] is an immutable view of a [`ShardedHybridStore`]
+//! frozen at one logical write epoch. Taking one shares the succinct
+//! shard layers by `Arc` (O(1) per shard) and freezes the
 //! overlay, overflow dictionaries and literal table by value
 //! (O(overlay + dictionaries)); cloning one is an `Arc` bump (O(1)), so a
 //! server hands the same snapshot to any number of reader threads. The
@@ -19,13 +19,12 @@
 //! * swapped-out baseline generations stay alive exactly as long as a
 //!   snapshot references them — `Arc` reclamation, no epoch bookkeeping
 //!   on the read path;
-//! * the sharded store's quiescence-only literal GC treats a non-zero
-//!   pin count as non-quiescent, so `Value::Literal` ids decoded from a
-//!   snapshot keep meaning the same content on the live store;
-//! * the pin count is observable via `stats().live_pins` on both stores,
-//!   making snapshot leaks visible.
+//! * the store's quiescence-only literal GC treats a non-zero pin count
+//!   as non-quiescent, so `Value::Literal` ids decoded from a snapshot
+//!   keep meaning the same content on the live store;
+//! * the pin count is observable via `stats().live_pins`, making
+//!   snapshot leaks visible.
 
-use crate::hybrid::HybridStore;
 use crate::shard::ShardedHybridStore;
 use se_core::{TripleSource, Value};
 use se_litemat::IdInterval;
@@ -33,21 +32,11 @@ use se_rdf::{Literal, Term};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// The frozen store behind a snapshot. Both variants are full stores
-/// that will never be written again: their `TripleSource` impls answer
-/// every access over baseline + frozen overlay.
-// The enum lives once per snapshot behind `Arc<SnapshotInner>`, so the
-// variant size difference costs one heap allocation, not per-clone copies.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum SnapshotView {
-    Hybrid(HybridStore),
-    Sharded(ShardedHybridStore),
-}
-
 #[derive(Debug)]
 struct SnapshotInner {
-    view: SnapshotView,
+    /// The frozen store: a full store that will never be written again,
+    /// answering every access over its layers + frozen overlay.
+    view: ShardedHybridStore,
     epoch: u64,
     /// The origin store's pin counter; incremented on construction,
     /// decremented on drop.
@@ -68,19 +57,7 @@ pub struct StoreSnapshot {
 }
 
 impl StoreSnapshot {
-    pub(crate) fn from_hybrid(view: HybridStore, epoch: u64, pins: Arc<AtomicUsize>) -> Self {
-        Self::pin(SnapshotView::Hybrid(view), epoch, pins)
-    }
-
-    pub(crate) fn from_sharded(
-        view: ShardedHybridStore,
-        epoch: u64,
-        pins: Arc<AtomicUsize>,
-    ) -> Self {
-        Self::pin(SnapshotView::Sharded(view), epoch, pins)
-    }
-
-    fn pin(view: SnapshotView, epoch: u64, pins: Arc<AtomicUsize>) -> Self {
+    pub(crate) fn pin(view: ShardedHybridStore, epoch: u64, pins: Arc<AtomicUsize>) -> Self {
         pins.fetch_add(1, Ordering::AcqRel);
         Self {
             inner: Arc::new(SnapshotInner { view, epoch, pins }),
@@ -93,12 +70,9 @@ impl StoreSnapshot {
         self.inner.epoch
     }
 
-    /// The frozen view as a trait object (all delegation funnels here).
-    fn source(&self) -> &dyn TripleSource {
-        match &self.inner.view {
-            SnapshotView::Hybrid(h) => h,
-            SnapshotView::Sharded(s) => s,
-        }
+    /// The frozen view (all delegation funnels here).
+    fn source(&self) -> &ShardedHybridStore {
+        &self.inner.view
     }
 }
 
@@ -122,10 +96,7 @@ impl TripleSource for StoreSnapshot {
         self.source().value_to_term(value)
     }
     fn literal(&self, idx: u64) -> Option<&Literal> {
-        match &self.inner.view {
-            SnapshotView::Hybrid(h) => h.literal(idx),
-            SnapshotView::Sharded(s) => s.literal(idx),
-        }
+        self.source().literal(idx)
     }
     fn values_join(&self, a: Value, b: Value) -> bool {
         self.source().values_join(a, b)
@@ -226,9 +197,10 @@ mod tests {
     /// on — through a write *and* a compaction that swaps the baseline.
     #[test]
     fn hybrid_snapshot_is_isolated_from_later_writes_and_compaction() {
-        let mut h = crate::HybridStore::build(&ontology(), &Graph::new())
+        let mut h = ShardedHybridStore::build(&ontology(), &Graph::new(), 1)
             .unwrap()
-            .with_policy(CompactionPolicy { max_overlay: 2 });
+            .with_policy(CompactionPolicy { max_overlay: 2 })
+            .with_background_compaction(false);
         h.apply(&batch(vec![t("a", "knows", iri("b"))]), &Graph::new())
             .unwrap();
         let snap = h.snapshot();
@@ -265,7 +237,7 @@ mod tests {
         assert_eq!(stats.epoch, 2);
     }
 
-    /// Same isolation property for the sharded engine, including shard
+    /// Same isolation property on three shards, including shard
     /// compactions racing the pinned reader.
     #[test]
     fn sharded_snapshot_is_isolated_from_later_writes() {
@@ -308,7 +280,7 @@ mod tests {
     /// Snapshots are Send + Sync + 'static: a reader thread can own one.
     #[test]
     fn snapshot_crosses_threads() {
-        let mut h = crate::HybridStore::build(&ontology(), &Graph::new()).unwrap();
+        let mut h = ShardedHybridStore::build(&ontology(), &Graph::new(), 1).unwrap();
         h.apply(&batch(vec![t("a", "knows", iri("b"))]), &Graph::new())
             .unwrap();
         let snap = h.snapshot();

@@ -3,7 +3,7 @@
 //! v02 persistence (see [`crate::persist`]) made `save` O(delta), but
 //! durability stayed checkpoint-granular — every batch applied since the
 //! last `save` died with the process. The WAL closes that gap: once
-//! attached (`HybridStore::attach_wal` / `ShardedHybridStore::attach_wal`),
+//! attached ([`ShardedHybridStore::attach_wal`](crate::ShardedHybridStore::attach_wal)),
 //! every successful `apply` appends one *record* — the batch's net
 //! [`BatchDelta`] plus the post-apply epoch — to a segmented, checksummed
 //! log in the same directory as the snapshot, and recovery becomes
@@ -64,8 +64,8 @@
 
 use crate::error::StreamError;
 use crate::fault;
-use crate::hybrid::BatchDelta;
 use crate::persist::{next_file_seq, read_literal, write_literal};
+use crate::shard::BatchDelta;
 use se_rdf::{Term, Triple};
 use se_sds::{
     read_section_from, write_container_header, write_section, ContainerError, ReadBin, WriteBin,

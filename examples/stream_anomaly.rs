@@ -5,14 +5,15 @@
 //! per instance. This example runs the same pipeline through `se-stream`
 //! twice:
 //!
-//! 1. a single long-lived [`HybridStore`] (delta overlay, inline
-//!    compaction), and
-//! 2. the sharded engine — [`ShardedHybridStore`] with the water
-//!    workload's per-station-group routing policy, **background**
-//!    per-shard compaction, and the **persistent worker pool forced on**
-//!    (these sensor batches are far below the adaptive break-even, which
-//!    is precisely the regime the parked per-shard workers exist for) —
-//!    behind the same [`StreamSession`] API.
+//! 1. a long-lived one-shard [`ShardedHybridStore`] — the single-store
+//!    case: one delta overlay, inline compaction — and
+//! 2. the same store on three shards with the water workload's
+//!    per-station-group routing policy, **background** per-shard
+//!    compaction, and the **persistent worker pool forced on** (these
+//!    sensor batches are far below the adaptive break-even, which is
+//!    precisely the regime the parked per-shard workers exist for),
+//!
+//! each driven through a [`StreamSession`].
 //!
 //! Both ingest the same measurement batches (with a sliding retention
 //! window deleting expired observations), evaluate the same registered
@@ -38,12 +39,11 @@ use succinct_edge::rdf::Graph;
 use succinct_edge::sparql::QueryOptions;
 use succinct_edge::store::TripleSource;
 use succinct_edge::stream::{
-    CompactionPolicy, HybridStore, IngestMode, ShardPolicy, ShardedHybridStore, StreamSession,
-    StreamStore,
+    CompactionPolicy, IngestMode, ShardPolicy, ShardedHybridStore, StreamSession,
 };
 
 /// Registers the §2 anomaly query on a session.
-fn register<S: StreamStore>(session: &mut StreamSession<S>) {
+fn register(session: &mut StreamSession) {
     session
         .register_query(
             "water-anomaly",
@@ -53,17 +53,17 @@ fn register<S: StreamStore>(session: &mut StreamSession<S>) {
         .expect("workload query parses");
 }
 
-/// Streams `batches` through one engine, printing a per-batch line
-/// (`extra` appends engine-specific columns) and each alert. `tick0`
+/// Streams `batches` through one session, printing a per-batch line
+/// (`extra` appends store-specific columns) and each alert. `tick0`
 /// offsets the printed batch numbers for resumed runs. Returns the
 /// per-batch alert rows (sorted — the comparable alert sequence) and the
 /// per-batch apply latencies in milliseconds.
-fn drive<S: StreamStore>(
+fn drive(
     label: &str,
-    session: &mut StreamSession<S>,
+    session: &mut StreamSession,
     batches: &[StreamBatch],
     tick0: usize,
-    extra: impl Fn(&S) -> String,
+    extra: impl Fn(&ShardedHybridStore) -> String,
 ) -> (Vec<Vec<String>>, Vec<f64>) {
     let mut alert_rows = Vec::with_capacity(batches.len());
     let mut latencies_ms = Vec::with_capacity(batches.len());
@@ -118,17 +118,18 @@ fn main() {
         water_anomaly_query()
     );
 
-    // ---- engine 1: single hybrid store, inline compaction ------------------
-    let store = HybridStore::build(&onto, &Graph::new())
+    // ---- run 1: one shard, inline compaction --------------------------------
+    let store = ShardedHybridStore::build(&onto, &Graph::new(), 1)
         .expect("empty baseline builds")
-        .with_policy(policy);
+        .with_policy(policy)
+        .with_background_compaction(false);
     let mut single = StreamSession::new(store);
     register(&mut single);
     let (rows_single, lat_single) = drive("single ", &mut single, &batches, 0, |_| String::new());
     let alerts_single: usize = rows_single.iter().map(Vec::len).sum();
     let len_single = single.store().len();
 
-    // ---- engine 2: sharded store, background compaction --------------------
+    // ---- run 2: three shards, background compaction -------------------------
     println!();
     let build_sharded = || {
         ShardedHybridStore::build_with_policy(
@@ -156,7 +157,7 @@ fn main() {
     session.store_mut().flush_compactions();
     let len_sharded = session.store().len();
 
-    // ---- engine 3: kill mid-stream, recover from the v02 manifest ----------
+    // ---- run 3: kill mid-stream, recover from the v02 manifest -------------
     println!();
     let ckpt = std::env::temp_dir().join(format!("se-anomaly-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&ckpt);
@@ -228,18 +229,22 @@ fn main() {
     );
     assert_eq!(
         alerts_single, alerts_sharded,
-        "engines must agree on alerts"
+        "one and three shards must agree on alerts"
     );
-    assert_eq!(len_single, len_sharded, "engines must agree on the store");
+    assert_eq!(
+        len_single, len_sharded,
+        "one and three shards must agree on the store"
+    );
     assert_eq!(
         len_single, len_recovered,
         "recovery must agree on the store"
     );
     println!(
-        "note: both engines raise identical alerts — the sliding window \
-         retires old observations, both differently-annotated stations keep \
-         being caught by the single reasoning-enabled query (§2), the \
-         sharded engine keeps layer rebuilds off the ingest hot path, and a \
+        "note: one and three shards raise identical alerts — the sliding \
+         window retires old observations, both differently-annotated \
+         stations keep being caught by the single reasoning-enabled query \
+         (§2), background compaction keeps layer rebuilds off the ingest \
+         hot path, and a \
          mid-stream kill + v02 reload reproduces the alert stream exactly."
     );
 }

@@ -23,14 +23,13 @@
 //!
 //! * Build once, query: [`store::SuccinctEdgeStore::build`] +
 //!   [`sparql::execute_query`].
-//! * Stream: [`stream::HybridStore::build`] →
+//! * Stream: [`stream::ShardedHybridStore::build`] →
 //!   [`stream::StreamSession::apply_batch`] with registered continuous
 //!   queries; the overlay compacts back into the succinct layers
-//!   automatically (see [`stream::CompactionPolicy`]).
-//! * Scale the write path: [`stream::ShardedHybridStore::build`]
-//!   partitions by predicate into parallel shards behind the same
-//!   session API, with background per-shard compaction keeping `apply`
-//!   tail latency bounded (see `se-stream`'s architecture docs).
+//!   automatically (see [`stream::CompactionPolicy`]). One shard is the
+//!   single-store case; more shards partition by predicate and ingest in
+//!   parallel, with background per-shard compaction keeping `apply` tail
+//!   latency bounded (see `se-stream`'s architecture docs).
 //! * Reproduce the paper's tables: `cargo run --release -p se-bench --bin
 //!   tables`; examples under `examples/` cover the §2 anomaly scenario in
 //!   both rebuild-per-instance and incremental form.

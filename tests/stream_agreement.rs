@@ -2,7 +2,8 @@
 //! sequence of water-sensor batches (insertions *and* deletions), every
 //! registered continuous query answers identically on
 //!
-//! * the incremental [`HybridStore`] (baseline + delta overlay), and
+//! * the incremental [`ShardedHybridStore`] (baseline + delta overlay), on
+//!   one shard and on several, and
 //! * a [`SuccinctEdgeStore`] rebuilt from scratch from the same triples,
 //!
 //! for every triple-pattern shape, with reasoning on and off, before and
@@ -15,9 +16,7 @@ use se_datagen::workload::water_anomaly_query;
 use se_ontology::water_ontology;
 use se_rdf::{Graph, Triple};
 use se_sparql::{QueryOptions, ResultSet};
-use se_stream::{
-    CompactionPolicy, HybridStore, IngestMode, ShardPolicy, ShardedHybridStore, StreamSession,
-};
+use se_stream::{CompactionPolicy, IngestMode, ShardPolicy, ShardedHybridStore, StreamSession};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -132,9 +131,10 @@ fn hybrid_agrees_with_rebuild_across_stream_and_compaction() {
     assert!(batches.len() >= 10, "acceptance requires >= 10 batches");
 
     // Overlay threshold sized to trigger compactions mid-stream.
-    let store = HybridStore::build(&onto, &Graph::new())
+    let store = ShardedHybridStore::build(&onto, &Graph::new(), 1)
         .unwrap()
-        .with_policy(CompactionPolicy { max_overlay: 140 });
+        .with_policy(CompactionPolicy { max_overlay: 140 })
+        .with_background_compaction(false);
     let mut session = StreamSession::new(store);
     for (id, text, opts) in shape_queries() {
         session.register_query(id, &text, opts).unwrap();
@@ -267,8 +267,8 @@ fn hybrid_agrees_with_rebuild_across_stream_and_compaction() {
 
 /// The sharded acceptance property: across >= 12 batches with deletions
 /// and compactions, the scatter/gather [`ShardedHybridStore`] answers all
-/// eleven query shapes (reasoning on and off) identically to a single
-/// [`HybridStore`] *and* a from-scratch rebuild — with inline per-shard
+/// eleven query shapes (reasoning on and off) identically to a one-shard
+/// store *and* a from-scratch rebuild — with inline per-shard
 /// compaction, with background compaction racing the stream, with the
 /// workload-aware routing policy from `se-datagen`, and with the
 /// persistent worker pool **forced onto every small batch** (the
@@ -287,9 +287,10 @@ fn sharded_agrees_with_single_store_and_rebuild() {
     let policy = CompactionPolicy { max_overlay: 90 };
 
     // Store variants under test, all fed the same stream.
-    let single = HybridStore::build(&onto, &Graph::new())
+    let single = ShardedHybridStore::build(&onto, &Graph::new(), 1)
         .unwrap()
-        .with_policy(policy);
+        .with_policy(policy)
+        .with_background_compaction(false);
     let sharded_inline = ShardedHybridStore::build(&onto, &Graph::new(), 3)
         .unwrap()
         .with_policy(policy)
@@ -466,7 +467,7 @@ fn sharded_agrees_with_single_store_and_rebuild() {
         "forced pool spawned its workers"
     );
     assert!(deletions > 0, "stream must exercise the deletion path");
-    // Every engine — single-overlay and all three sharded variants —
+    // Every store — one shard and all three multi-shard variants —
     // served the steady state differentially.
     let (incr, _) = single.registry().strategy_counts();
     assert!(incr > 0);
@@ -485,7 +486,8 @@ fn sharded_agrees_with_single_store_and_rebuild() {
     }
 }
 
-/// The v02 acceptance property: checkpoint both engines **mid-stream** —
+/// The v02 acceptance property: checkpoint a one-shard and a three-shard
+/// store **mid-stream** —
 /// dirty overlays, pending tombstones, overflow terms, background
 /// rebuilds possibly in flight — resume them from disk, continue the
 /// same `stream_agreement` batch schedule, and require every one of the
@@ -511,15 +513,18 @@ fn save_load_mid_stream_preserves_agreement() {
     let single_dir = scratch("single");
     let sharded_dir = scratch("sharded");
 
-    let single = HybridStore::build(&onto, &Graph::new())
-        .unwrap()
-        .with_policy(policy);
+    let single = || {
+        ShardedHybridStore::build(&onto, &Graph::new(), 1)
+            .unwrap()
+            .with_policy(policy)
+            .with_background_compaction(false)
+    };
     let sharded = ShardedHybridStore::build(&onto, &Graph::new(), 3)
         .unwrap()
         .with_policy(policy)
         .with_background_compaction(true)
         .with_ingest_mode(IngestMode::Pooled);
-    let mut live_single = StreamSession::new(single.clone());
+    let mut live_single = StreamSession::new(single());
     let mut live_sharded = StreamSession::new(
         ShardedHybridStore::build(&onto, &Graph::new(), 3)
             .unwrap()
@@ -527,7 +532,7 @@ fn save_load_mid_stream_preserves_agreement() {
             .with_background_compaction(true)
             .with_ingest_mode(IngestMode::Pooled),
     );
-    let mut ckpt_single = StreamSession::new(single);
+    let mut ckpt_single = StreamSession::new(single());
     let mut ckpt_sharded = StreamSession::new(sharded);
     for (id, text, opts) in shape_queries() {
         live_single.register_query(id, &text, opts.clone()).unwrap();
@@ -546,18 +551,18 @@ fn save_load_mid_stream_preserves_agreement() {
             // guarantees overlay churn by now) and the sharded session
             // may have rebuilds racing on its workers.
             assert!(
-                !ckpt_single.store().delta().is_empty(),
+                ckpt_single.store().overlay_len() > 0,
                 "checkpoint must capture a dirty overlay"
             );
             let compactions = ckpt_single.store().stats().compactions;
-            let overlay = ckpt_single.store().delta().overlay_len();
+            let overlay = ckpt_single.store().overlay_len();
             ckpt_single.save(&single_dir).unwrap();
             assert_eq!(
                 ckpt_single.store().stats().compactions,
                 compactions,
                 "v02 save must not compact"
             );
-            assert_eq!(ckpt_single.store().delta().overlay_len(), overlay);
+            assert_eq!(ckpt_single.store().overlay_len(), overlay);
             ckpt_sharded.save(&sharded_dir).unwrap();
 
             // Simulated restart: drop the sessions, resume from disk.
@@ -658,8 +663,8 @@ fn save_load_mid_stream_preserves_agreement() {
 
 /// Compiled plans answer every query shape as the multi-index baseline
 /// does over the same triples (through the ontology rewrite when
-/// reasoning is on), with reasoning on and off, against the live hybrid
-/// store, the sharded store, and a pinned MVCC snapshot — on the
+/// reasoning is on), with reasoning on and off, against a live one-shard
+/// store, a three-shard store, and a pinned MVCC snapshot — on the
 /// uncached path, the cold (parse + compile) cached path and the hot
 /// (cached plan, zero parsing) path.
 #[test]
@@ -672,7 +677,7 @@ fn compiled_plans_agree_with_baseline_on_every_shape() {
         seed: 97,
     };
     let batches = generate_stream(&cfg, 8, 3);
-    let mut hybrid = HybridStore::build(&onto, &Graph::new()).unwrap();
+    let mut hybrid = ShardedHybridStore::build(&onto, &Graph::new(), 1).unwrap();
     let mut sharded = ShardedHybridStore::build(&onto, &Graph::new(), 3).unwrap();
     let mut triples: BTreeSet<Triple> = BTreeSet::new();
     for batch in &batches {
@@ -703,7 +708,7 @@ fn compiled_plans_agree_with_baseline_on_every_shape() {
     // against one store's cardinalities stays correct on another.
     let cache = se_sparql::PlanCache::new();
     let stores: [(&str, &dyn TripleSource); 3] = [
-        ("hybrid", &hybrid),
+        ("one shard", &hybrid),
         ("sharded", &sharded),
         ("snapshot", &snapshot),
     ];
@@ -763,7 +768,7 @@ fn shared_shape_plan_binds_constants_correctly() {
         seed: 97,
     };
     let batches = generate_stream(&cfg, 6, 3);
-    let mut hybrid = HybridStore::build(&onto, &Graph::new()).unwrap();
+    let mut hybrid = ShardedHybridStore::build(&onto, &Graph::new(), 1).unwrap();
     for batch in &batches {
         hybrid.apply(&batch.inserts, &batch.deletes).unwrap();
     }
@@ -801,7 +806,7 @@ fn hybrid_matches_rebuild_pattern_accesses_directly() {
         seed: 31,
     };
     let batches = generate_stream(&cfg, 6, 2);
-    let mut hybrid = HybridStore::build(&onto, &Graph::new()).unwrap();
+    let mut hybrid = ShardedHybridStore::build(&onto, &Graph::new(), 1).unwrap();
     let mut reference: BTreeSet<Triple> = BTreeSet::new();
     for batch in &batches {
         hybrid.apply(&batch.inserts, &batch.deletes).unwrap();
