@@ -30,6 +30,7 @@ pub mod protocol;
 pub mod replica;
 pub mod server;
 
-pub use client::{Client, IngestAck, PreparedQuery, Push, ReadTimedOut, Rows, ServerStats};
+pub use client::{Client, PreparedQuery, Push, ReadTimedOut, Rows};
+pub use protocol::{IngestAck, ServerStats};
 pub use replica::{Replica, ReplicaConfig};
-pub use server::{Server, ServerConfig, StatsReport, TickReport};
+pub use server::{Server, ServerConfig};

@@ -50,8 +50,7 @@ pub mod req {
 
 /// Response frame kinds (server → client).
 pub mod resp {
-    /// Group-commit ack: epoch `u64`, inserted `u64`, deleted `u64`,
-    /// noops `u64`, coalesced requests `u32`, compacted `u8`. Counts are
+    /// Group-commit ack: one [`IngestAck`](super::IngestAck). Counts are
     /// aggregates over the *whole tick* the request rode in.
     pub const INGEST: u8 = 0x80;
     /// Point-query answer: snapshot epoch `u64` + [`ResultSet`].
@@ -65,14 +64,7 @@ pub mod resp {
     /// interleaved with request replies; clients must queue it (see
     /// [`Client`](crate::client::Client)).
     pub const PUSH: u8 = 0x82;
-    /// Stats: epoch `u64`, triples `u64`, live pins `u64`, snapshots
-    /// `u64`, compactions `u64`, subscriptions `u64`, incremental evals
-    /// `u64`, full evals `u64`, delta triples added `u64`, delta
-    /// triples removed `u64`, plan-cache hits `u64`, plan-cache misses
-    /// `u64`, plan compiles `u64`, plan evictions `u64`, plan re-costs
-    /// `u64`, WAL poisoned `u64`, WAL appends failed `u64`, replicas
-    /// `u64`, replication records shipped `u64`, replication snapshots
-    /// served `u64`, replication re-syncs `u64`.
+    /// Stats: one [`ServerStats`](super::ServerStats), twenty-one `u64`s.
     pub const STATS: u8 = 0x83;
     /// Bare success (subscribe / shutdown ack). Empty payload.
     pub const OK: u8 = 0x84;
@@ -138,6 +130,184 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u8, Vec<u8>)> {
         ));
     }
     Ok((kind, payload))
+}
+
+// ------------------------------------------------------ reply payloads
+
+/// The ack of one ingest request: aggregate accounting for the whole
+/// group-commit tick the request rode in (every coalesced request
+/// receives the same numbers).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IngestAck {
+    /// Store epoch after the tick.
+    pub epoch: u64,
+    /// Effective insertions across the tick.
+    pub inserted: u64,
+    /// Effective deletions across the tick.
+    pub deleted: u64,
+    /// No-op operations across the tick.
+    pub noops: u64,
+    /// Ingest requests coalesced into the tick (≥ 1, includes ours).
+    pub coalesced: u32,
+    /// Whether the tick triggered a compaction.
+    pub compacted: bool,
+}
+
+/// Server counters, as answered by a `STATS` request.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerStats {
+    /// Store epoch (group-commit ticks applied).
+    pub epoch: u64,
+    /// Triples visible in the live store.
+    pub triples: u64,
+    /// Snapshots currently pinning store resources.
+    pub live_pins: u64,
+    /// Snapshots taken over the store's lifetime.
+    pub snapshots: u64,
+    /// Shard compactions performed.
+    pub compactions: u64,
+    /// Active continuous-query subscriptions.
+    pub subscriptions: u64,
+    /// Continuous-query evaluations served by the delta path.
+    pub incremental_evals: u64,
+    /// Continuous-query full (re-)evaluations: seeding, fallback
+    /// queries, and batches without a captured delta.
+    pub full_evals: u64,
+    /// Net triples added across all captured batch deltas.
+    pub delta_added: u64,
+    /// Net triples removed across all captured batch deltas.
+    pub delta_removed: u64,
+    /// Plan-cache executions (QUERY frames and continuous-query full
+    /// evaluations) that reused a cached plan with zero SPARQL parsing.
+    pub plan_hits: u64,
+    /// Plan-cache executions that parsed and/or compiled.
+    pub plan_misses: u64,
+    /// Fresh plan compilations (excludes re-costs).
+    pub plan_compiles: u64,
+    /// Plan/text entries dropped by the cache's LRU caps.
+    pub plan_evictions: u64,
+    /// Stale plans re-ordered after the store epoch advanced past the
+    /// staleness threshold.
+    pub plan_recosts: u64,
+    /// 1 if the WAL refused appends after an earlier failure (the store
+    /// serves reads but acks no writes until a checkpoint heals it).
+    pub wal_poisoned: u64,
+    /// WAL append attempts that failed (including those refused while
+    /// poisoned).
+    pub wal_appends_failed: u64,
+    /// Replication feeds currently attached (leader only).
+    pub replicas: u64,
+    /// WAL records shipped to replication feeds, catch-up + live.
+    pub repl_records_shipped: u64,
+    /// Full-snapshot bootstraps served to lagging followers.
+    pub repl_snapshots_served: u64,
+    /// Feed drops this node recovered from by re-syncing (replica only).
+    pub repl_resyncs: u64,
+}
+
+/// One direction of a fixed-layout payload codec, handed every field of
+/// the payload in wire order: encoding writes the field, decoding
+/// overwrites it with the next value read.
+pub(crate) trait FieldCodec {
+    /// A little-endian `u64` field.
+    fn u64(&mut self, v: &mut u64) -> io::Result<()>;
+    /// A little-endian `u32` field.
+    fn u32(&mut self, v: &mut u32) -> io::Result<()>;
+    /// A `bool` field, one byte (0 or 1).
+    fn flag(&mut self, v: &mut bool) -> io::Result<()>;
+}
+
+struct Encode<'a, W>(&'a mut W);
+
+impl<W: Write> FieldCodec for Encode<'_, W> {
+    fn u64(&mut self, v: &mut u64) -> io::Result<()> {
+        self.0.write_u64(*v)
+    }
+    fn u32(&mut self, v: &mut u32) -> io::Result<()> {
+        self.0.write_u32(*v)
+    }
+    fn flag(&mut self, v: &mut bool) -> io::Result<()> {
+        self.0.write_u8(*v as u8)
+    }
+}
+
+struct Decode<'a, R>(&'a mut R);
+
+impl<R: Read> FieldCodec for Decode<'_, R> {
+    fn u64(&mut self, v: &mut u64) -> io::Result<()> {
+        *v = self.0.read_u64()?;
+        Ok(())
+    }
+    fn u32(&mut self, v: &mut u32) -> io::Result<()> {
+        *v = self.0.read_u32()?;
+        Ok(())
+    }
+    fn flag(&mut self, v: &mut bool) -> io::Result<()> {
+        *v = self.0.read_u8()? != 0;
+        Ok(())
+    }
+}
+
+/// A reply payload of fixed layout. [`FixedLayout::fields`] lists the
+/// fields once, in wire order; writing and reading both run that list.
+pub(crate) trait FixedLayout: Copy + Default {
+    /// Hands every field to `codec`, in wire order.
+    fn fields(&mut self, codec: &mut impl FieldCodec) -> io::Result<()>;
+
+    /// Encodes the payload.
+    fn write<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let mut v = *self;
+        v.fields(&mut Encode(w))
+    }
+
+    /// Decodes a payload written by [`FixedLayout::write`].
+    fn read<R: Read>(r: &mut R) -> io::Result<Self> {
+        let mut v = Self::default();
+        v.fields(&mut Decode(r))?;
+        Ok(v)
+    }
+}
+
+impl FixedLayout for IngestAck {
+    fn fields(&mut self, c: &mut impl FieldCodec) -> io::Result<()> {
+        c.u64(&mut self.epoch)?;
+        c.u64(&mut self.inserted)?;
+        c.u64(&mut self.deleted)?;
+        c.u64(&mut self.noops)?;
+        c.u32(&mut self.coalesced)?;
+        c.flag(&mut self.compacted)
+    }
+}
+
+impl FixedLayout for ServerStats {
+    fn fields(&mut self, c: &mut impl FieldCodec) -> io::Result<()> {
+        for v in [
+            &mut self.epoch,
+            &mut self.triples,
+            &mut self.live_pins,
+            &mut self.snapshots,
+            &mut self.compactions,
+            &mut self.subscriptions,
+            &mut self.incremental_evals,
+            &mut self.full_evals,
+            &mut self.delta_added,
+            &mut self.delta_removed,
+            &mut self.plan_hits,
+            &mut self.plan_misses,
+            &mut self.plan_compiles,
+            &mut self.plan_evictions,
+            &mut self.plan_recosts,
+            &mut self.wal_poisoned,
+            &mut self.wal_appends_failed,
+            &mut self.replicas,
+            &mut self.repl_records_shipped,
+            &mut self.repl_snapshots_served,
+            &mut self.repl_resyncs,
+        ] {
+            c.u64(v)?;
+        }
+        Ok(())
+    }
 }
 
 // ------------------------------------------------------------- codecs
@@ -407,6 +577,65 @@ mod tests {
             err.to_string().contains("truncated"),
             "want the truncation diagnostic, got: {err}"
         );
+    }
+
+    /// Pins the STATS payload: the k-th counter in `docs/server.md`
+    /// order is written k-th. A field pair swapped in the codec fails
+    /// here even though encoding and decoding would still agree.
+    #[test]
+    fn server_stats_layout_is_pinned() {
+        let stats = ServerStats {
+            epoch: 1,
+            triples: 2,
+            live_pins: 3,
+            snapshots: 4,
+            compactions: 5,
+            subscriptions: 6,
+            incremental_evals: 7,
+            full_evals: 8,
+            delta_added: 9,
+            delta_removed: 10,
+            plan_hits: 11,
+            plan_misses: 12,
+            plan_compiles: 13,
+            plan_evictions: 14,
+            plan_recosts: 15,
+            wal_poisoned: 16,
+            wal_appends_failed: 17,
+            replicas: 18,
+            repl_records_shipped: 19,
+            repl_snapshots_served: 20,
+            repl_resyncs: 21,
+        };
+        let mut buf = Vec::new();
+        stats.write(&mut buf).unwrap();
+        let want: Vec<u8> = (1..=21u64).flat_map(u64::to_le_bytes).collect();
+        assert_eq!(buf, want, "twenty-one u64s, in documented order");
+        assert_eq!(ServerStats::read(&mut buf.as_slice()).unwrap(), stats);
+        buf.pop();
+        assert!(ServerStats::read(&mut buf.as_slice()).is_err());
+    }
+
+    /// Pins the INGEST ack payload: four `u64`s, a `u32`, a `u8`.
+    #[test]
+    fn ingest_ack_layout_is_pinned() {
+        let ack = IngestAck {
+            epoch: 1,
+            inserted: 2,
+            deleted: 3,
+            noops: 4,
+            coalesced: 5,
+            compacted: true,
+        };
+        let mut buf = Vec::new();
+        ack.write(&mut buf).unwrap();
+        let mut want: Vec<u8> = (1..=4u64).flat_map(u64::to_le_bytes).collect();
+        want.extend_from_slice(&5u32.to_le_bytes());
+        want.push(1);
+        assert_eq!(buf, want);
+        assert_eq!(IngestAck::read(&mut buf.as_slice()).unwrap(), ack);
+        buf.pop();
+        assert!(IngestAck::read(&mut buf.as_slice()).is_err());
     }
 
     #[test]

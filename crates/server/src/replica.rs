@@ -39,9 +39,9 @@
 //! the leader. The replica keeps no WAL of its own: after a crash it
 //! restarts empty and bootstraps over the wire.
 
-use crate::protocol::{self as proto, read_frame, write_frame};
+use crate::protocol::{self as proto, read_frame, write_frame, ServerStats};
 use crate::server::{
-    push_results, serve_connection, stats, subscribe, Cmd, ReplCounters, Sub, CONN_POLL,
+    push_results, serve_connection, serving_session, stats, subscribe, Cmd, Sub, CONN_POLL,
 };
 use se_ontology::Ontology;
 use se_rdf::Graph;
@@ -198,7 +198,8 @@ struct FeedState {
     ontology: Ontology,
     config: ReplicaConfig,
     cache: Arc<PlanCache>,
-    repl: ReplCounters,
+    /// The replication counters this thread keeps (`repl_resyncs`).
+    counters: ServerStats,
 }
 
 impl FeedState {
@@ -208,17 +209,14 @@ impl FeedState {
         config: ReplicaConfig,
         cache: Arc<PlanCache>,
     ) -> Self {
-        let mut session = StreamSession::new(store);
-        session.registry_mut().set_plan_cache(Arc::clone(&cache));
-        session.registry_mut().set_emit_full(false);
         Self {
-            session,
+            session: serving_session(store, Arc::clone(&cache)),
             subs: HashMap::new(),
             specs: HashMap::new(),
             ontology,
             config,
             cache,
-            repl: ReplCounters::default(),
+            counters: ServerStats::default(),
         }
     }
 
@@ -227,12 +225,7 @@ impl FeedState {
     /// subscriber's next push is a full frame again: the differential
     /// chain broke with the old store.
     fn install_store(&mut self, store: ShardedHybridStore) {
-        let mut session = StreamSession::new(store);
-        session
-            .registry_mut()
-            .set_plan_cache(Arc::clone(&self.cache));
-        session.registry_mut().set_emit_full(false);
-        self.session = session;
+        self.session = serving_session(store, Arc::clone(&self.cache));
         let specs: Vec<_> = self
             .specs
             .iter()
@@ -285,7 +278,7 @@ fn drain_cmds(state: &mut FeedState, rx: &mpsc::Receiver<Cmd>) -> bool {
                 );
             }
             Ok(Cmd::Stats { done }) => {
-                let _ = done.send(stats(&state.session, state.subs.len(), state.repl));
+                let _ = done.send(Ok(stats(&state.session, state.subs.len(), state.counters)));
             }
             Ok(Cmd::Replicate { done, .. }) => {
                 let _ = done.send(Err("replicas do not serve replication feeds".into()));
@@ -310,7 +303,7 @@ fn feed_loop(
             return;
         }
         if !first_attach {
-            state.repl.resyncs += 1;
+            state.counters.repl_resyncs += 1;
             thread::sleep(state.config.reconnect);
         }
         first_attach = false;
@@ -361,15 +354,10 @@ fn feed_loop(
                     let Ok(rec) = se_stream::decode_record_payload(&payload) else {
                         continue 'resync;
                     };
-                    let expected = state.session.store().epoch() + 1;
-                    if rec.epoch != expected {
-                        // A gap means this feed skipped history — replaying
-                        // would silently diverge. Re-sync instead.
-                        continue 'resync;
-                    }
-                    let inserts = Graph::from_triples(rec.delta.added.iter().cloned());
-                    let deletes = Graph::from_triples(rec.delta.removed.iter().cloned());
-                    let Ok(outcome) = state.session.apply_batch(&inserts, &deletes) else {
+                    // A gap means this feed skipped history — replaying
+                    // would silently diverge, so the replay refuses it and
+                    // the feed re-syncs instead.
+                    let Ok(outcome) = state.session.replay_record(&rec) else {
                         continue 'resync;
                     };
                     let epoch = state.session.store().epoch();

@@ -28,7 +28,10 @@
 //!   by ingest or compaction. Responses and pushes to one client are
 //!   serialized through a shared sink lock.
 
-use crate::protocol::{self as proto, read_frame, write_frame};
+use crate::protocol::{
+    self as proto, read_frame, write_frame, FixedLayout, IngestAck, ServerStats,
+};
+use se_sds::{ReadBin, WriteBin};
 use se_sparql::{PlanCache, QueryOptions};
 use se_stream::{ShardedHybridStore, StoreSnapshot, StreamError, StreamSession};
 use std::collections::HashMap;
@@ -75,117 +78,35 @@ impl Default for ServerConfig {
     }
 }
 
-/// Aggregate ack for one group-commit tick (every coalesced request
-/// receives the same numbers).
-#[derive(Debug, Clone, Copy)]
-pub struct TickReport {
-    /// Store epoch after the tick's apply.
-    pub epoch: u64,
-    /// Effective insertions across the whole tick.
-    pub inserted: u64,
-    /// Effective deletions across the whole tick.
-    pub deleted: u64,
-    /// No-op operations across the whole tick.
-    pub noops: u64,
-    /// Ingest requests coalesced into this tick.
-    pub coalesced: u32,
-    /// Whether the apply triggered a compaction.
-    pub compacted: bool,
-}
-
 /// Commands the connection threads hand to the writer (and, on a
 /// [`Replica`](crate::replica::Replica), to the feed thread).
+/// Each carries the sender its answer goes back on.
 pub(crate) enum Cmd {
     Ingest {
         inserts: se_rdf::Graph,
         deletes: se_rdf::Graph,
-        done: mpsc::Sender<Result<TickReport, String>>,
+        done: Done<IngestAck>,
     },
     Subscribe {
         id: String,
         text: String,
         options: QueryOptions,
         sink: ClientSink,
-        done: mpsc::Sender<Result<(), String>>,
+        done: Done<()>,
     },
     Stats {
-        done: mpsc::Sender<StatsReport>,
+        done: Done<ServerStats>,
     },
     Replicate {
         from_epoch: u64,
         sink: ClientSink,
-        done: mpsc::Sender<Result<(), String>>,
+        done: Done<()>,
     },
     Shutdown,
 }
 
-/// Replication-side counters, kept by whichever thread owns the store
-/// (the leader's writer, or a replica's feed thread).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ReplCounters {
-    /// Attached replication feeds (always 0 on a replica).
-    pub(crate) replicas: u64,
-    /// WAL records shipped to feeds, catch-up and live combined.
-    pub(crate) records_shipped: u64,
-    /// Full-snapshot bootstraps served because the WAL tail no longer
-    /// covered a follower's epoch.
-    pub(crate) snapshots_served: u64,
-    /// Times this node, as a follower, dropped its feed and re-synced
-    /// (always 0 on a leader).
-    pub(crate) resyncs: u64,
-}
-
-/// Snapshot of the server's counters, answered by the writer thread.
-#[derive(Debug, Clone, Copy)]
-pub struct StatsReport {
-    /// Store epoch (group-commit ticks applied).
-    pub epoch: u64,
-    /// Triples visible in the live store.
-    pub triples: u64,
-    /// Snapshots currently pinning store resources.
-    pub live_pins: u64,
-    /// Snapshots taken over the store's lifetime.
-    pub snapshots: u64,
-    /// Shard compactions performed.
-    pub compactions: u64,
-    /// Active continuous-query subscriptions.
-    pub subscriptions: u64,
-    /// Continuous-query evaluations served by the delta path.
-    pub incremental_evals: u64,
-    /// Continuous-query full (re-)evaluations: seeding, fallback
-    /// queries, and batches without a captured delta.
-    pub full_evals: u64,
-    /// Net triples added across all captured batch deltas.
-    pub delta_added: u64,
-    /// Net triples removed across all captured batch deltas.
-    pub delta_removed: u64,
-    /// Plan-cache executions (QUERY frames and continuous-query full
-    /// evaluations) that reused a cached plan with zero SPARQL parsing.
-    pub plan_hits: u64,
-    /// Plan-cache executions that parsed and/or compiled.
-    pub plan_misses: u64,
-    /// Fresh plan compilations (excludes re-costs).
-    pub plan_compiles: u64,
-    /// Plan/text entries dropped by the cache's LRU caps.
-    pub plan_evictions: u64,
-    /// Stale plans re-ordered after the store epoch advanced past the
-    /// staleness threshold.
-    pub plan_recosts: u64,
-    /// 1 if the WAL refused appends after an earlier failure (the store
-    /// serves reads but acks no writes until a checkpoint heals it).
-    pub wal_poisoned: u64,
-    /// WAL append attempts that failed (including those refused while
-    /// poisoned).
-    pub wal_appends_failed: u64,
-    /// Replication feeds currently attached (leader only).
-    pub replicas: u64,
-    /// WAL records shipped to replication feeds, catch-up + live.
-    pub repl_records_shipped: u64,
-    /// Full-snapshot bootstraps served to lagging followers.
-    pub repl_snapshots_served: u64,
-    /// Feed drops this node recovered from by re-syncing (replica only).
-    pub repl_resyncs: u64,
-}
+/// Where a command's answer goes: the value, or the message of an `ERR`.
+pub(crate) type Done<T> = mpsc::Sender<Result<T, String>>;
 
 /// A running server: its bound address plus the threads to join.
 pub struct Server {
@@ -219,11 +140,7 @@ impl Server {
             let cache = Arc::clone(&plan_cache);
             thread::Builder::new()
                 .name("se-server-writer".into())
-                .spawn(move || {
-                    let mut session = StreamSession::new(store);
-                    session.registry_mut().set_plan_cache(cache);
-                    writer_loop(session, rx, slot, config.tick)
-                })?
+                .spawn(move || writer_loop(serving_session(store, cache), rx, slot, config.tick))?
         };
 
         let accept = {
@@ -280,119 +197,125 @@ impl Server {
 
 // --------------------------------------------------------------- writer
 
+/// A session set up the way the server's writer and a replica's feed
+/// thread serve it: the shared plan cache installed, and full answer
+/// sets left out of delta-path results. Initial frames always come from
+/// a seeding (or fallback) evaluation, which carries the full answer set
+/// regardless — so the steady-state delta path never materializes one.
+pub(crate) fn serving_session(store: ShardedHybridStore, cache: Arc<PlanCache>) -> StreamSession {
+    let mut session = StreamSession::new(store);
+    session.registry_mut().set_plan_cache(cache);
+    session.registry_mut().set_emit_full(false);
+    session
+}
+
 /// An ingest rider waiting in the tick window: inserts, deletes, ack.
-type PendingIngest = (
-    se_rdf::Graph,
-    se_rdf::Graph,
-    mpsc::Sender<Result<TickReport, String>>,
-);
+type PendingIngest = (se_rdf::Graph, se_rdf::Graph, Done<IngestAck>);
+
+/// Everything the writer thread owns besides its command channel.
+struct Writer {
+    session: StreamSession,
+    /// Active subscriptions: registry id → sink + primed flag.
+    subs: HashMap<String, Sub>,
+    /// Attached replication feeds: every tick's WAL record goes to each.
+    replicas: Vec<ClientSink>,
+    /// The replication counters (`repl_*`) this thread keeps; [`stats`]
+    /// reads every other field at its source.
+    counters: ServerStats,
+}
 
 fn writer_loop(
-    mut session: StreamSession,
+    session: StreamSession,
     rx: mpsc::Receiver<Cmd>,
     slot: Arc<Mutex<StoreSnapshot>>,
     tick: Duration,
 ) {
-    // Active subscriptions: registry id → sink + primed flag.
-    let mut subs: HashMap<String, Sub> = HashMap::new();
-    // Attached replication feeds: every tick's WAL record goes to each.
-    let mut replicas: Vec<ClientSink> = Vec::new();
-    let mut repl = ReplCounters::default();
-    // Initial frames always come from a seeding (or fallback) evaluation,
-    // which carries the full answer set regardless of this flag — so the
-    // steady-state delta path never has to materialize full sets.
-    session.registry_mut().set_emit_full(false);
-    'outer: loop {
+    let mut writer = Writer {
+        session,
+        subs: HashMap::new(),
+        replicas: Vec::new(),
+        counters: ServerStats::default(),
+    };
+    loop {
         let Ok(first) = rx.recv() else { break };
         let mut pending: Vec<PendingIngest> = Vec::new();
-        match first {
-            Cmd::Shutdown => break,
+        if writer.handle(first, &mut pending) {
+            break;
+        }
+        if pending.is_empty() {
+            continue;
+        }
+        // Group-commit window: coalesce every write that arrives within
+        // `tick` of the first one.
+        let mut shutdown = false;
+        let deadline = Instant::now() + tick;
+        while !shutdown {
+            let left = deadline.saturating_duration_since(Instant::now());
+            shutdown = match rx.recv_timeout(left) {
+                Ok(cmd) => writer.handle(cmd, &mut pending),
+                Err(RecvTimeoutError::Timeout) => break,
+                Err(RecvTimeoutError::Disconnected) => true,
+            };
+        }
+        if !writer.commit(pending, &slot) || shutdown {
+            break;
+        }
+    }
+    // Graceful exit: drain any WAL appends still buffered under a
+    // relaxed sync policy, so every acked batch is durable before the
+    // server reports itself stopped. With `SyncPolicy::EveryBatch` this
+    // is a no-op — acks are already durable when they are sent.
+    let _ = writer.session.store().wal_flush();
+}
+
+impl Writer {
+    /// Handles one command. An ingest joins `pending`; everything else
+    /// is answered at once, so a stats probe can't extend a tick window.
+    /// Returns `true` on shutdown.
+    fn handle(&mut self, cmd: Cmd, pending: &mut Vec<PendingIngest>) -> bool {
+        match cmd {
+            Cmd::Ingest {
+                inserts,
+                deletes,
+                done,
+            } => pending.push((inserts, deletes, done)),
             Cmd::Subscribe {
                 id,
                 text,
                 options,
                 sink,
                 done,
-            } => {
-                subscribe(&mut session, &mut subs, id, text, options, sink, done);
-                continue;
-            }
+            } => subscribe(
+                &mut self.session,
+                &mut self.subs,
+                id,
+                text,
+                options,
+                sink,
+                done,
+            ),
             Cmd::Stats { done } => {
-                repl.replicas = replicas.len() as u64;
-                let _ = done.send(stats(&session, subs.len(), repl));
-                continue;
+                let counters = ServerStats {
+                    replicas: self.replicas.len() as u64,
+                    ..self.counters
+                };
+                let _ = done.send(Ok(stats(&self.session, self.subs.len(), counters)));
             }
             Cmd::Replicate {
                 from_epoch,
                 sink,
                 done,
-            } => {
-                attach_replica(
-                    &mut session,
-                    &mut replicas,
-                    &mut repl,
-                    from_epoch,
-                    sink,
-                    done,
-                );
-                continue;
-            }
-            Cmd::Ingest {
-                inserts,
-                deletes,
-                done,
-            } => pending.push((inserts, deletes, done)),
+            } => self.attach_replica(from_epoch, sink, done),
+            Cmd::Shutdown => return true,
         }
+        false
+    }
 
-        // Group-commit window: coalesce every write that arrives within
-        // `tick` of the first one. Non-write commands are handled inline
-        // so a stats probe can't extend the window.
-        let mut shutdown = false;
-        let deadline = Instant::now() + tick;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(left) {
-                Ok(Cmd::Ingest {
-                    inserts,
-                    deletes,
-                    done,
-                }) => pending.push((inserts, deletes, done)),
-                Ok(Cmd::Subscribe {
-                    id,
-                    text,
-                    options,
-                    sink,
-                    done,
-                }) => subscribe(&mut session, &mut subs, id, text, options, sink, done),
-                Ok(Cmd::Stats { done }) => {
-                    repl.replicas = replicas.len() as u64;
-                    let _ = done.send(stats(&session, subs.len(), repl));
-                }
-                Ok(Cmd::Replicate {
-                    from_epoch,
-                    sink,
-                    done,
-                }) => attach_replica(
-                    &mut session,
-                    &mut replicas,
-                    &mut repl,
-                    from_epoch,
-                    sink,
-                    done,
-                ),
-                Ok(Cmd::Shutdown) => {
-                    shutdown = true;
-                    break;
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    shutdown = true;
-                    break;
-                }
-            }
-        }
-
-        // One apply for the whole tick: all deletes, then all inserts.
+    /// Applies one tick as one batch — all deletes, then all inserts —
+    /// publishes the new snapshot, acks every rider, pushes subscription
+    /// changes and ships the tick's WAL record. Returns `false` once the
+    /// store has failed for good.
+    fn commit(&mut self, pending: Vec<PendingIngest>, slot: &Mutex<StoreSnapshot>) -> bool {
         let coalesced = pending.len() as u32;
         let mut inserts = se_rdf::Graph::new();
         let mut deletes = se_rdf::Graph::new();
@@ -404,10 +327,10 @@ fn writer_loop(
                 inserts.insert(t.clone());
             }
         }
-        match session.apply_batch(&inserts, &deletes) {
+        match self.session.apply_batch(&inserts, &deletes) {
             Ok(outcome) => {
-                let snap = session.store().snapshot();
-                let report = TickReport {
+                let snap = self.session.store().snapshot();
+                let ack = IngestAck {
                     epoch: snap.epoch(),
                     inserted: outcome.report.inserted as u64,
                     deleted: outcome.report.deleted as u64,
@@ -417,26 +340,32 @@ fn writer_loop(
                 };
                 *slot.lock().expect("snapshot slot poisoned") = snap;
                 for (_, _, done) in &pending {
-                    let _ = done.send(Ok(report));
+                    let _ = done.send(Ok(ack));
                 }
-                push_results(&mut session, &mut subs, outcome.results, report.epoch);
+                push_results(
+                    &mut self.session,
+                    &mut self.subs,
+                    outcome.results,
+                    ack.epoch,
+                );
                 // Ship this tick's WAL record to every attached feed.
                 // Even an all-noop tick ships: the epoch advanced, and a
                 // follower's consecutive-epoch invariant needs the gap
                 // filled. A dead feed is dropped; when the last one goes
                 // the forced delta capture is released.
-                if !replicas.is_empty() {
+                if !self.replicas.is_empty() {
                     let delta = outcome.report.delta.unwrap_or_default();
-                    let payload = se_stream::encode_record_payload(report.epoch, &delta);
-                    replicas.retain(|sink| {
+                    let payload = se_stream::encode_record_payload(ack.epoch, &delta);
+                    self.replicas.retain(|sink| {
                         let mut sink = sink.lock().expect("replica sink poisoned");
                         write_frame(&mut *sink, proto::resp::REPL_RECORD, &payload).is_ok()
                     });
-                    repl.records_shipped += replicas.len() as u64;
-                    if replicas.is_empty() {
-                        session.set_force_delta_capture(false);
+                    self.counters.repl_records_shipped += self.replicas.len() as u64;
+                    if self.replicas.is_empty() {
+                        self.session.set_force_delta_capture(false);
                     }
                 }
+                true
             }
             Err(e) => {
                 // A poisoned store stays poisoned; a validation error is
@@ -445,20 +374,64 @@ fn writer_loop(
                 for (_, _, done) in &pending {
                     let _ = done.send(Err(msg.clone()));
                 }
-                if matches!(e, StreamError::Worker(_)) {
-                    break 'outer;
-                }
+                !matches!(e, StreamError::Worker(_))
             }
         }
-        if shutdown {
-            break;
-        }
     }
-    // Graceful exit: drain any WAL appends still buffered under a
-    // relaxed sync policy, so every acked batch is durable before the
-    // server reports itself stopped. With `SyncPolicy::EveryBatch` this
-    // is a no-op — acks are already durable when they are sent.
-    let _ = session.store().wal_flush();
+
+    /// Catches a follower up to the current epoch — WAL-tail records
+    /// when the log still covers `(from_epoch, current]`, a full snapshot
+    /// otherwise — then registers its sink for live per-tick records.
+    fn attach_replica(&mut self, from_epoch: u64, sink: ClientSink, done: Done<()>) {
+        let session = &mut self.session;
+        let current = session.store().epoch();
+        if from_epoch > current {
+            let _ = done.send(Err(format!(
+                "follower epoch {from_epoch} is ahead of leader epoch {current}"
+            )));
+            return;
+        }
+        if from_epoch < current {
+            // Drain buffered appends first so the tail scan sees
+            // everything this store has acked, then prefer shipping
+            // records: a follower replays them in O(delta) instead of
+            // rebuilding from scratch. The writer thread is the sole
+            // appender and it is parked here, so the read-only scan
+            // cannot race an in-flight append.
+            let tail = session
+                .store()
+                .wal_flush()
+                .ok()
+                .and_then(|()| session.store().wal_dir())
+                .and_then(|dir| se_stream::read_tail(&dir, from_epoch).ok().flatten())
+                .filter(|recs| recs.last().map(|r| r.epoch) == Some(current));
+            let sent = match tail {
+                Some(records) => {
+                    self.counters.repl_records_shipped += records.len() as u64;
+                    records.iter().try_for_each(|rec| {
+                        let payload = se_stream::encode_record_payload(rec.epoch, &rec.delta);
+                        reply(&sink, proto::resp::REPL_RECORD, &payload)
+                    })
+                }
+                None => {
+                    self.counters.repl_snapshots_served += 1;
+                    let graph = session.store().materialize();
+                    let mut payload = Vec::new();
+                    payload
+                        .write_u64(current)
+                        .and_then(|()| proto::write_graph(&mut payload, &graph))
+                        .and_then(|()| reply(&sink, proto::resp::REPL_SNAPSHOT, &payload))
+                }
+            };
+            if sent.is_err() {
+                let _ = done.send(Err("replication feed write failed during catch-up".into()));
+                return;
+            }
+        }
+        self.replicas.push(sink);
+        session.set_force_delta_capture(true);
+        let _ = done.send(Ok(()));
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -469,7 +442,7 @@ pub(crate) fn subscribe(
     text: String,
     options: QueryOptions,
     sink: ClientSink,
-    done: mpsc::Sender<Result<(), String>>,
+    done: Done<()>,
 ) {
     match session.register_query(id.clone(), &text, options) {
         Ok(()) => {
@@ -488,64 +461,6 @@ pub(crate) fn subscribe(
             let _ = done.send(Err(e.to_string()));
         }
     }
-}
-
-/// Catches a follower up to the current epoch — WAL-tail records when
-/// the log still covers `(from_epoch, current]`, a full snapshot
-/// otherwise — then registers its sink for live per-tick records.
-fn attach_replica(
-    session: &mut StreamSession,
-    replicas: &mut Vec<ClientSink>,
-    repl: &mut ReplCounters,
-    from_epoch: u64,
-    sink: ClientSink,
-    done: mpsc::Sender<Result<(), String>>,
-) {
-    let current = session.store().epoch();
-    if from_epoch > current {
-        let _ = done.send(Err(format!(
-            "follower epoch {from_epoch} is ahead of leader epoch {current}"
-        )));
-        return;
-    }
-    if from_epoch < current {
-        // Drain buffered appends first so the tail scan sees everything
-        // this store has acked, then prefer shipping records: a follower
-        // replays them in O(delta) instead of rebuilding from scratch.
-        // The writer thread is the sole appender and it is parked here,
-        // so the read-only scan cannot race an in-flight append.
-        let tail = session
-            .store()
-            .wal_flush()
-            .ok()
-            .and_then(|()| session.store().wal_dir())
-            .and_then(|dir| se_stream::read_tail(&dir, from_epoch).ok().flatten())
-            .filter(|recs| recs.last().map(|r| r.epoch) == Some(current));
-        let sent = match tail {
-            Some(records) => {
-                repl.records_shipped += records.len() as u64;
-                records.iter().try_for_each(|rec| {
-                    let payload = se_stream::encode_record_payload(rec.epoch, &rec.delta);
-                    reply(&sink, proto::resp::REPL_RECORD, &payload)
-                })
-            }
-            None => {
-                repl.snapshots_served += 1;
-                let graph = session.store().materialize();
-                let mut payload = Vec::new();
-                se_sds::WriteBin::write_u64(&mut payload, current)
-                    .and_then(|()| proto::write_graph(&mut payload, &graph))
-                    .and_then(|()| reply(&sink, proto::resp::REPL_SNAPSHOT, &payload))
-            }
-        };
-        if sent.is_err() {
-            let _ = done.send(Err("replication feed write failed during catch-up".into()));
-            return;
-        }
-    }
-    replicas.push(sink);
-    session.set_force_delta_capture(true);
-    let _ = done.send(Ok(()));
 }
 
 /// Pushes each continuous answer to its subscriber: the whole set once
@@ -567,15 +482,16 @@ pub(crate) fn push_results(
             continue;
         }
         let mut payload = Vec::new();
-        let encoded = se_sds::WriteBin::write_str(&mut payload, &result.id)
-            .and_then(|()| se_sds::WriteBin::write_u64(&mut payload, epoch))
+        let encoded = payload
+            .write_str(&result.id)
+            .and_then(|()| payload.write_u64(epoch))
             .and_then(|()| {
                 if sub.primed {
-                    se_sds::WriteBin::write_u8(&mut payload, proto::PUSH_CHANGES)?;
+                    payload.write_u8(proto::PUSH_CHANGES)?;
                     proto::write_result_set(&mut payload, &result.added)?;
                     proto::write_result_set(&mut payload, &result.removed)
                 } else {
-                    se_sds::WriteBin::write_u8(&mut payload, proto::PUSH_FULL)?;
+                    payload.write_u8(proto::PUSH_FULL)?;
                     proto::write_result_set(&mut payload, &result.results)
                 }
             })
@@ -593,35 +509,41 @@ pub(crate) fn push_results(
     }
 }
 
+/// The STATS answer: every counter read at its source — store, session,
+/// plan cache, WAL — except the replication counters (`replicas`,
+/// `repl_*`), which the calling thread keeps in `counters`.
 pub(crate) fn stats(
     session: &StreamSession,
     subscriptions: usize,
-    repl: ReplCounters,
-) -> StatsReport {
-    let s = session.store().stats();
+    counters: ServerStats,
+) -> ServerStats {
+    let store = session.store().stats();
     let cq = session.stream_stats();
-    StatsReport {
-        epoch: s.epoch,
+    let plan = session
+        .registry()
+        .plan_cache()
+        .map(|cache| cache.stats())
+        .unwrap_or_default();
+    let wal = session.store().wal_health();
+    ServerStats {
+        epoch: store.epoch,
         triples: se_core::TripleSource::len(session.store()) as u64,
-        live_pins: s.live_pins as u64,
-        snapshots: s.snapshots as u64,
-        compactions: s.compactions as u64,
+        live_pins: store.live_pins as u64,
+        snapshots: store.snapshots as u64,
+        compactions: store.compactions as u64,
         subscriptions: subscriptions as u64,
         incremental_evals: cq.incremental_evals,
         full_evals: cq.full_evals,
         delta_added: cq.delta_added,
         delta_removed: cq.delta_removed,
-        plan_hits: cq.plan_hits,
-        plan_misses: cq.plan_misses,
-        plan_compiles: cq.plan_compiles,
-        plan_evictions: cq.plan_evictions,
-        plan_recosts: cq.plan_recosts,
-        wal_poisoned: cq.wal_poisoned,
-        wal_appends_failed: cq.wal_appends_failed,
-        replicas: repl.replicas,
-        repl_records_shipped: repl.records_shipped,
-        repl_snapshots_served: repl.snapshots_served,
-        repl_resyncs: repl.resyncs,
+        plan_hits: plan.hits,
+        plan_misses: plan.misses,
+        plan_compiles: plan.compiles,
+        plan_evictions: plan.evictions,
+        plan_recosts: plan.recosts,
+        wal_poisoned: wal.poisoned as u64,
+        wal_appends_failed: wal.appends_failed,
+        ..counters
     }
 }
 
@@ -666,164 +588,109 @@ pub(crate) fn serve_connection(
             Ok(frame) => frame,
             Err(_) => return Ok(()), // client hung up
         };
-        let mut p = payload.as_slice();
-        match kind {
-            proto::req::INGEST => {
-                let parsed = (|| -> io::Result<_> {
-                    let inserts = proto::read_graph(&mut p)?;
-                    let deletes = proto::read_graph(&mut p)?;
-                    Ok((inserts, deletes))
-                })();
-                match parsed {
-                    Ok((inserts, deletes)) => {
-                        let (done, ack) = mpsc::channel();
-                        let sent = tx
-                            .send(Cmd::Ingest {
-                                inserts,
-                                deletes,
-                                done,
-                            })
-                            .is_ok();
-                        match (sent, sent.then(|| ack.recv()).and_then(Result::ok)) {
-                            (true, Some(Ok(r))) => {
-                                let mut out = Vec::new();
-                                se_sds::WriteBin::write_u64(&mut out, r.epoch)?;
-                                se_sds::WriteBin::write_u64(&mut out, r.inserted)?;
-                                se_sds::WriteBin::write_u64(&mut out, r.deleted)?;
-                                se_sds::WriteBin::write_u64(&mut out, r.noops)?;
-                                se_sds::WriteBin::write_u32(&mut out, r.coalesced)?;
-                                se_sds::WriteBin::write_u8(&mut out, r.compacted as u8)?;
-                                reply(&sink, proto::resp::INGEST, &out)?;
-                            }
-                            (true, Some(Err(msg))) => reply_err(&sink, &msg)?,
-                            _ => reply_err(&sink, "server is shutting down")?,
-                        }
-                    }
-                    Err(e) => reply_err(&sink, &e.to_string())?,
-                }
-            }
-            proto::req::QUERY => {
-                let parsed = (|| -> io::Result<_> {
-                    let text = se_sds::ReadBin::read_str(&mut p)?;
-                    let options = proto::read_options(&mut p)?;
-                    Ok((text, options))
-                })();
-                match parsed {
-                    Ok((text, options)) => {
-                        // Clone the latest snapshot (an Arc bump) and
-                        // evaluate here — the writer is never involved.
-                        // The shared plan cache makes a repeated query
-                        // text a pure bind-and-execute: no parsing, no
-                        // optimizing on the hot path.
-                        let snap = slot.lock().expect("snapshot slot poisoned").clone();
-                        match plan_cache.execute_text(&snap, &text, &options) {
-                            Ok(rows) => {
-                                let mut out = Vec::new();
-                                se_sds::WriteBin::write_u64(&mut out, snap.epoch())?;
-                                proto::write_result_set(&mut out, &rows)?;
-                                reply(&sink, proto::resp::ROWS, &out)?;
-                            }
-                            Err(e) => reply_err(&sink, &e.to_string())?,
-                        }
-                    }
-                    Err(e) => reply_err(&sink, &e.to_string())?,
-                }
-            }
-            proto::req::SUBSCRIBE => {
-                let parsed = (|| -> io::Result<_> {
-                    let id = se_sds::ReadBin::read_str(&mut p)?;
-                    let text = se_sds::ReadBin::read_str(&mut p)?;
-                    let options = proto::read_options(&mut p)?;
-                    Ok((id, text, options))
-                })();
-                match parsed {
-                    Ok((id, text, options)) => {
-                        let (done, ack) = mpsc::channel();
-                        let sent = tx
-                            .send(Cmd::Subscribe {
-                                id,
-                                text,
-                                options,
-                                sink: Arc::clone(&sink),
-                                done,
-                            })
-                            .is_ok();
-                        match (sent, sent.then(|| ack.recv()).and_then(Result::ok)) {
-                            (true, Some(Ok(()))) => reply(&sink, proto::resp::OK, &[])?,
-                            (true, Some(Err(msg))) => reply_err(&sink, &msg)?,
-                            _ => reply_err(&sink, "server is shutting down")?,
-                        }
-                    }
-                    Err(e) => reply_err(&sink, &e.to_string())?,
-                }
-            }
-            proto::req::STATS => {
-                let (done, ack) = mpsc::channel();
-                let sent = tx.send(Cmd::Stats { done }).is_ok();
-                match (sent, sent.then(|| ack.recv()).and_then(Result::ok)) {
-                    (true, Some(s)) => {
-                        let mut out = Vec::new();
-                        se_sds::WriteBin::write_u64(&mut out, s.epoch)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.triples)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.live_pins)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.snapshots)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.compactions)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.subscriptions)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.incremental_evals)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.full_evals)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.delta_added)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.delta_removed)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.plan_hits)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.plan_misses)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.plan_compiles)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.plan_evictions)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.plan_recosts)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.wal_poisoned)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.wal_appends_failed)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.replicas)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.repl_records_shipped)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.repl_snapshots_served)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.repl_resyncs)?;
-                        reply(&sink, proto::resp::STATS, &out)?;
-                    }
-                    _ => reply_err(&sink, "server is shutting down")?,
-                }
-            }
-            proto::req::REPLICATE => {
-                match se_sds::ReadBin::read_u64(&mut p) {
-                    Ok(from_epoch) => {
-                        let (done, ack) = mpsc::channel();
-                        let sent = tx
-                            .send(Cmd::Replicate {
-                                from_epoch,
-                                sink: Arc::clone(&sink),
-                                done,
-                            })
-                            .is_ok();
-                        // On success the catch-up frames (and every later
-                        // live record) already flow from the writer; the
-                        // connection is a feed now, and the client sends
-                        // nothing further. Only failures get a reply.
-                        match (sent, sent.then(|| ack.recv()).and_then(Result::ok)) {
-                            (true, Some(Ok(()))) => {}
-                            (true, Some(Err(msg))) => reply_err(&sink, &msg)?,
-                            _ => reply_err(&sink, "server is shutting down")?,
-                        }
-                    }
-                    Err(e) => reply_err(&sink, &e.to_string())?,
-                }
-            }
-            proto::req::SHUTDOWN => {
-                stop.store(true, Ordering::Release);
-                let _ = tx.send(Cmd::Shutdown);
-                // Wake the accept loop so it observes the stop flag.
-                let _ = TcpStream::connect(server_addr);
-                reply(&sink, proto::resp::OK, &[])?;
-                return Ok(());
-            }
-            other => reply_err(&sink, &format!("unknown request kind {other:#04x}"))?,
+        if kind == proto::req::SHUTDOWN {
+            stop.store(true, Ordering::Release);
+            let _ = tx.send(Cmd::Shutdown);
+            // Wake the accept loop so it observes the stop flag.
+            let _ = TcpStream::connect(server_addr);
+            reply(&sink, proto::resp::OK, &[])?;
+            return Ok(());
+        }
+        match answer(kind, &payload, &tx, &slot, &plan_cache, &sink) {
+            Ok(Some((kind, out))) => reply(&sink, kind, &out)?,
+            Ok(None) => {}
+            Err(e) => reply_err(&sink, &e.to_string())?,
         }
     }
+}
+
+/// Answers one request frame other than `SHUTDOWN`: `Ok(Some(frame))` is
+/// the reply, `Ok(None)` means none is due, and an error's message goes
+/// back in an `ERR` frame.
+fn answer(
+    kind: u8,
+    mut p: &[u8],
+    tx: &mpsc::Sender<Cmd>,
+    slot: &Mutex<StoreSnapshot>,
+    plan_cache: &PlanCache,
+    sink: &ClientSink,
+) -> io::Result<Option<(u8, Vec<u8>)>> {
+    let mut out = Vec::new();
+    let kind = match kind {
+        proto::req::INGEST => {
+            let inserts = proto::read_graph(&mut p)?;
+            let deletes = proto::read_graph(&mut p)?;
+            ask(tx, |done| Cmd::Ingest {
+                inserts,
+                deletes,
+                done,
+            })?
+            .write(&mut out)?;
+            proto::resp::INGEST
+        }
+        proto::req::QUERY => {
+            let text = p.read_str()?;
+            let options = proto::read_options(&mut p)?;
+            // Clone the latest snapshot (an Arc bump) and evaluate here —
+            // the writer is never involved. The shared plan cache makes a
+            // repeated query text a pure bind-and-execute: no parsing, no
+            // optimizing on the hot path.
+            let snap = slot.lock().expect("snapshot slot poisoned").clone();
+            let rows = plan_cache
+                .execute_text(&snap, &text, &options)
+                .map_err(|e| io::Error::other(e.to_string()))?;
+            out.write_u64(snap.epoch())?;
+            proto::write_result_set(&mut out, &rows)?;
+            proto::resp::ROWS
+        }
+        proto::req::SUBSCRIBE => {
+            let id = p.read_str()?;
+            let text = p.read_str()?;
+            let options = proto::read_options(&mut p)?;
+            ask(tx, |done| Cmd::Subscribe {
+                id,
+                text,
+                options,
+                sink: Arc::clone(sink),
+                done,
+            })?;
+            proto::resp::OK
+        }
+        proto::req::STATS => {
+            ask(tx, |done| Cmd::Stats { done })?.write(&mut out)?;
+            proto::resp::STATS
+        }
+        proto::req::REPLICATE => {
+            let from_epoch = p.read_u64()?;
+            ask(tx, |done| Cmd::Replicate {
+                from_epoch,
+                sink: Arc::clone(sink),
+                done,
+            })?;
+            // The catch-up frames (and every later live record) already
+            // flow from the writer; the connection is a feed now, and the
+            // client sends nothing further. Only failures get a reply.
+            return Ok(None);
+        }
+        other => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("unknown request kind {other:#04x}"),
+            ))
+        }
+    };
+    Ok(Some((kind, out)))
+}
+
+/// Hands one command to the writer and waits for its answer; an `Err`
+/// answer becomes the error. A writer that has stopped answers "server
+/// is shutting down".
+fn ask<T>(tx: &mpsc::Sender<Cmd>, cmd: impl FnOnce(Done<T>) -> Cmd) -> io::Result<T> {
+    let (done, answer) = mpsc::channel();
+    let answered = tx.send(cmd(done)).ok().and_then(|()| answer.recv().ok());
+    answered
+        .unwrap_or_else(|| Err("server is shutting down".into()))
+        .map_err(io::Error::other)
 }
 
 pub(crate) fn reply(sink: &ClientSink, kind: u8, payload: &[u8]) -> io::Result<()> {
@@ -833,6 +700,6 @@ pub(crate) fn reply(sink: &ClientSink, kind: u8, payload: &[u8]) -> io::Result<(
 
 pub(crate) fn reply_err(sink: &ClientSink, msg: &str) -> io::Result<()> {
     let mut payload = Vec::new();
-    se_sds::WriteBin::write_str(&mut payload, msg)?;
+    payload.write_str(msg)?;
     reply(sink, proto::resp::ERR, &payload)
 }

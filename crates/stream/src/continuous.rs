@@ -24,25 +24,37 @@ use se_sparql::error::{QueryError, SparqlParseError};
 use se_sparql::{parse_query, PlanCache, QueryOptions, ResultSet};
 use std::sync::Arc;
 
-/// Replays one shipped WAL record into a store under the
-/// consecutive-epoch invariant: the record must carry exactly
-/// `store.epoch() + 1` (anything else is a gap or a replayed duplicate —
-/// the caller re-syncs instead of guessing), and the delta's removals
-/// apply before its additions, exactly like crash recovery's
-/// `replay_wal`.
+/// The batch — `(inserts, deletes)` — that a WAL record replays as on a
+/// store at `epoch`, under the consecutive-epoch invariant: the record
+/// must carry exactly `epoch + 1` (anything else is a gap or a replayed
+/// duplicate — the caller re-syncs instead of guessing). `apply` runs
+/// deletes before inserts, so the delta's removals replay before its
+/// additions. Every replay path goes through here: [`replay_record`]
+/// (and with it crash recovery) and [`StreamSession::replay_record`].
+fn record_batch(rec: &WalRecord, epoch: u64) -> Result<(Graph, Graph), StreamError> {
+    if rec.epoch != epoch + 1 {
+        return Err(StreamError::Corrupt(format!(
+            "replication gap: expected epoch {}, record carries {}",
+            epoch + 1,
+            rec.epoch
+        )));
+    }
+    Ok((
+        Graph::from_triples(rec.delta.added.iter().cloned()),
+        Graph::from_triples(rec.delta.removed.iter().cloned()),
+    ))
+}
+
+/// Replays one shipped or logged WAL record into a store. The record
+/// must carry exactly `store.epoch() + 1`; anything else is a gap or a
+/// replayed duplicate, refused with no change to the store. A follower
+/// with continuous queries replays through
+/// [`StreamSession::replay_record`] instead.
 pub fn replay_record(
     store: &mut ShardedHybridStore,
     rec: &WalRecord,
 ) -> Result<IngestReport, StreamError> {
-    let expected = store.epoch() + 1;
-    if rec.epoch != expected {
-        return Err(StreamError::Corrupt(format!(
-            "replication gap: expected epoch {expected}, record carries {}",
-            rec.epoch
-        )));
-    }
-    let inserts = Graph::from_triples(rec.delta.added.iter().cloned());
-    let deletes = Graph::from_triples(rec.delta.removed.iter().cloned());
+    let (inserts, deletes) = record_batch(rec, store.epoch())?;
     let report = store.apply(&inserts, &deletes)?;
     debug_assert_eq!(store.epoch(), rec.epoch, "apply advances exactly one epoch");
     Ok(report)
@@ -326,7 +338,8 @@ pub struct BatchOutcome {
 
 /// Session counters: how continuous queries were served and how big the
 /// captured batch deltas were, so the incremental-vs-fallback rate is
-/// observable (mirrored into the server's STATS reply).
+/// observable. Plan-cache and WAL counters live with their owners
+/// ([`PlanCache::stats`], [`ShardedHybridStore::wal_health`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Batches applied through the session.
@@ -344,26 +357,6 @@ pub struct StreamStats {
     pub last_delta_added: u64,
     /// See [`StreamStats::last_delta_added`].
     pub last_delta_removed: u64,
-    /// Plan-cache executions that reused a cached plan with zero
-    /// parsing (zero when no [`PlanCache`] is installed — likewise for
-    /// the four counters below).
-    pub plan_hits: u64,
-    /// Plan-cache executions that parsed and/or compiled.
-    pub plan_misses: u64,
-    /// Fresh plan compilations (excludes re-costs).
-    pub plan_compiles: u64,
-    /// Plan/text entries dropped by the cache's LRU caps.
-    pub plan_evictions: u64,
-    /// Stale plans re-ordered after the store epoch advanced past the
-    /// staleness threshold.
-    pub plan_recosts: u64,
-    /// 1 when the store's WAL is poisoned (a failed append rejects all
-    /// later appends until a checkpoint heals it) — applied batches are
-    /// no longer durable. 0 when healthy or no WAL is attached.
-    pub wal_poisoned: u64,
-    /// WAL appends that returned an error (initial failures and
-    /// poisoned rejections alike) — climbs while degradation persists.
-    pub wal_appends_failed: u64,
 }
 
 impl StreamStats {
@@ -456,23 +449,19 @@ impl StreamSession {
         (&self.store, &mut self.registry)
     }
 
-    /// Session counters (delta sizes, incremental-vs-full evaluations,
-    /// and — when a [`PlanCache`] is installed on the registry — its
-    /// cumulative plan-cache counters).
+    /// Session counters: delta sizes and incremental-vs-full evaluations.
     pub fn stream_stats(&self) -> StreamStats {
-        let mut stats = self.stats;
-        if let Some(cache) = self.registry.plan_cache() {
-            let ps = cache.stats();
-            stats.plan_hits = ps.hits;
-            stats.plan_misses = ps.misses;
-            stats.plan_compiles = ps.compiles;
-            stats.plan_evictions = ps.evictions;
-            stats.plan_recosts = ps.recosts;
-        }
-        let health = self.store.wal_health();
-        stats.wal_poisoned = health.poisoned as u64;
-        stats.wal_appends_failed = health.appends_failed;
-        stats
+        self.stats
+    }
+
+    /// Replays one shipped WAL record as the session's next batch (see
+    /// [`replay_record`]): the store advances exactly one epoch, and
+    /// every registered query is brought up to date as by
+    /// [`StreamSession::apply_batch`]. A record out of epoch order is
+    /// refused and changes nothing.
+    pub fn replay_record(&mut self, rec: &WalRecord) -> Result<BatchOutcome, StreamError> {
+        let (inserts, deletes) = record_batch(rec, self.store.epoch())?;
+        self.apply_batch(&inserts, &deletes)
     }
 
     /// Ingests one batch (deletes, then inserts), compacts if the policy
@@ -821,7 +810,7 @@ mod tests {
 
     /// With a shared plan cache installed, seeding and fallback
     /// evaluations produce identical answers to the uncached path,
-    /// and the session's stream stats surface the cache counters.
+    /// and the registry's cache counts them.
     #[test]
     fn plan_cache_on_registry_agrees_and_is_counted() {
         let q = "PREFIX e: <http://x/> SELECT ?s WHERE { ?s e:knows ?o FILTER(?o = e:hub) }";
@@ -851,16 +840,13 @@ mod tests {
             };
             assert_eq!(rows(&a), rows(&b), "round {round}");
         }
-        let stats = cached.stream_stats();
         // This FILTER query re-evaluates fully every batch: one compile,
         // then shape-level hits with zero parsing.
-        assert_eq!(stats.plan_compiles, 1);
-        assert_eq!(stats.plan_misses, 1);
-        assert_eq!(stats.plan_hits, 2);
-        assert_eq!(cache.stats().hits, 2, "session mirrors the cache");
-        let plain_stats = plain.stream_stats();
-        assert_eq!(plain_stats.plan_hits, 0, "no cache, zero counters");
-        assert_eq!(plain_stats.plan_compiles, 0);
+        let stats = cached.registry().plan_cache().unwrap().stats();
+        assert_eq!(stats.compiles, 1);
+        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.hits, 2);
+        assert!(plain.registry().plan_cache().is_none());
     }
 
     /// Regression: embedded callers that apply batches straight to the
@@ -910,8 +896,8 @@ mod tests {
         assert_eq!(cache.stats().recosts, 1, "two shards: same staleness clock");
     }
 
-    /// The session's stats surface WAL durability degradation instead of
-    /// letting a poisoned log fail writes silently behind read traffic.
+    /// The session's store surfaces WAL durability degradation instead
+    /// of letting a poisoned log fail writes silently behind read traffic.
     #[test]
     fn stream_stats_surface_wal_health() {
         let dir = std::env::temp_dir().join(format!("se-cq-walhealth-{}", std::process::id()));
@@ -923,8 +909,8 @@ mod tests {
             .attach_wal(&dir, crate::wal::WalConfig::default())
             .unwrap();
         let mut session = StreamSession::new(store);
-        let stats = session.stream_stats();
-        assert_eq!((stats.wal_poisoned, stats.wal_appends_failed), (0, 0));
+        let health = session.store().wal_health();
+        assert_eq!((health.poisoned, health.appends_failed), (false, 0));
 
         crate::fault::arm(&dir, 0, crate::fault::FaultMode::Fail);
         let g = Graph::from_triples([t("a", "knows", iri("c"))]);
@@ -932,14 +918,14 @@ mod tests {
         crate::fault::disarm(&dir);
         assert!(session.apply_batch(&g, &Graph::new()).is_err());
 
-        let stats = session.stream_stats();
-        assert_eq!(stats.wal_poisoned, 1);
-        assert_eq!(stats.wal_appends_failed, 2);
+        let health = session.store().wal_health();
+        assert!(health.poisoned);
+        assert_eq!(health.appends_failed, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// `replay_record` is the follower's sole ingest path: it must apply
-    /// exactly-once in order and reject anything else.
+    /// Replay — into a bare store or through a session, as a replica
+    /// does — must apply exactly-once in order and reject anything else.
     #[test]
     fn replay_record_enforces_the_consecutive_epoch_invariant() {
         let mut store = store_with([]);
@@ -964,5 +950,22 @@ mod tests {
         let report = replay_record(&mut store, &del).unwrap();
         assert_eq!((report.inserted, report.deleted), (1, 1));
         assert_eq!(store.epoch(), 3);
+
+        // A session replays under the same rule and keeps its queries
+        // up to date.
+        let mut session = StreamSession::new(store);
+        session
+            .register_query(
+                "q",
+                "PREFIX e: <http://x/> SELECT ?s WHERE { ?s e:knows e:o }",
+                QueryOptions::default(),
+            )
+            .unwrap();
+        assert!(session.replay_record(&rec(5, 4)).is_err());
+        assert!(session.replay_record(&rec(3, 4)).is_err());
+        assert_eq!(session.stream_stats().batches, 0, "refused, not applied");
+        let out = session.replay_record(&rec(4, 4)).unwrap();
+        assert_eq!(session.store().epoch(), 4);
+        assert_eq!(out.results[0].results.len(), 3);
     }
 }

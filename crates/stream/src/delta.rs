@@ -22,13 +22,9 @@
 //!
 //! A literal object is keyed by an interned literal id, surfaced to the
 //! query layer offset by [`crate::OVERFLOW_BASE`]. The sharded store
-//! interns overlay literals in one table shared by all its shards; the
-//! `DeltaStore`'s own content-deduplicated side table serves standalone
-//! overlays.
+//! interns overlay literals in one table shared by all its shards.
 
 use se_rbtree::RbTree;
-use se_rdf::Literal;
-use std::collections::HashMap;
 use std::ops::Bound::{Excluded, Included};
 
 /// How a delta entry relates to the immutable baseline.
@@ -52,13 +48,13 @@ impl DeltaState {
 }
 
 /// Object position of a delta triple: an instance id or an interned
-/// delta-local literal id. Instances order before literals, matching the
+/// literal id. Instances order before literals, matching the
 /// "object layer before datatype layer" convention of the baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DeltaObj {
     /// Instance identifier (shared id space with the baseline).
     Inst(u64),
-    /// Delta-local literal id (index into the overlay's literal table).
+    /// Interned literal id (index into the store's literal table).
     Lit(u64),
 }
 
@@ -73,9 +69,6 @@ pub struct DeltaStore {
     type_cs: RbTree<(u64, u64), DeltaState>,
     /// `rdf:type` triples, `(subject, concept)` order.
     type_sc: RbTree<(u64, u64), DeltaState>,
-    /// Content-deduplicated literal table.
-    literals: Vec<Literal>,
-    literal_ids: HashMap<Literal, u64>,
     /// Number of entries currently in [`DeltaState::Added`].
     n_added: usize,
     /// Number of entries currently in [`DeltaState::Deleted`].
@@ -112,41 +105,6 @@ impl DeltaStore {
     /// `true` if the overlay holds no entries at all.
     pub fn is_empty(&self) -> bool {
         self.overlay_len() == 0
-    }
-
-    // ------------------------------------------------------------- literals
-
-    /// Interns a literal, returning its delta-local id.
-    pub fn intern_literal(&mut self, lit: &Literal) -> u64 {
-        if let Some(&id) = self.literal_ids.get(lit) {
-            return id;
-        }
-        let id = self.literals.len() as u64;
-        self.literals.push(lit.clone());
-        self.literal_ids.insert(lit.clone(), id);
-        id
-    }
-
-    /// The delta-local id of a literal, if interned.
-    pub fn literal_id(&self, lit: &Literal) -> Option<u64> {
-        self.literal_ids.get(lit).copied()
-    }
-
-    /// The literal at delta-local id `id`.
-    pub fn literal(&self, id: u64) -> Option<&Literal> {
-        self.literals.get(id as usize)
-    }
-
-    /// Number of interned literals.
-    pub fn literal_count(&self) -> usize {
-        self.literals.len()
-    }
-
-    /// The interned literals in id order (position = delta-local id) —
-    /// the persistence layer serializes them in this order so re-interning
-    /// on load reproduces identical ids.
-    pub fn literals(&self) -> impl Iterator<Item = &Literal> + '_ {
-        self.literals.iter()
     }
 
     // ---------------------------------------------------------- transitions
@@ -322,26 +280,12 @@ mod tests {
     }
 
     #[test]
-    fn literal_interning_deduplicates() {
-        let mut d = DeltaStore::new();
-        let a = d.intern_literal(&Literal::string("x"));
-        let b = d.intern_literal(&Literal::string("x"));
-        let c = d.intern_literal(&Literal::string("y"));
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(d.literal(a), Some(&Literal::string("x")));
-        assert_eq!(d.literal_id(&Literal::string("y")), Some(c));
-        assert_eq!(d.literal(99), None);
-    }
-
-    #[test]
     fn instances_order_before_literals() {
         let mut d = DeltaStore::new();
-        let l = d.intern_literal(&Literal::string("v"));
-        d.set(1, 5, DeltaObj::Lit(l), DeltaState::Added);
+        d.set(1, 5, DeltaObj::Lit(0), DeltaState::Added);
         d.set(1, 5, DeltaObj::Inst(9), DeltaState::Added);
         let objs: Vec<DeltaObj> = d.objects(1, 5).into_iter().map(|(o, _)| o).collect();
-        assert_eq!(objs, vec![DeltaObj::Inst(9), DeltaObj::Lit(l)]);
+        assert_eq!(objs, vec![DeltaObj::Inst(9), DeltaObj::Lit(0)]);
     }
 
     #[test]

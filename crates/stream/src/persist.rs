@@ -469,21 +469,18 @@ fn v01_triples(base: &SuccinctEdgeStore) -> Result<Graph, StreamError> {
 }
 
 /// Replays the WAL tail past `manifest_epoch` into a freshly loaded
-/// store. Each record is one batch whose net delta replays through the
-/// ordinary `apply` — the epoch counter advances exactly to the last
-/// record's epoch because [`crate::wal::recover`] verified the records
-/// are consecutive. The store has no WAL attached at this point, so
-/// replaying does not re-append.
+/// store at that epoch. Each record is one batch whose net delta replays
+/// through [`crate::replay_record`] — the epoch counter advances exactly
+/// to the last record's epoch because [`crate::wal::recover`] verified
+/// the records are consecutive. The store has no WAL attached at this
+/// point, so replaying does not re-append.
 fn replay_wal(
     store: &mut ShardedHybridStore,
     dir: &Path,
     manifest_epoch: u64,
 ) -> Result<(), StreamError> {
     for rec in crate::wal::recover(dir, manifest_epoch)? {
-        store.apply(
-            &Graph::from_triples(rec.delta.added),
-            &Graph::from_triples(rec.delta.removed),
-        )?;
+        crate::replay_record(store, &rec)?;
     }
     Ok(())
 }

@@ -123,8 +123,9 @@ pub struct WalRecord {
     pub delta: BatchDelta,
 }
 
-/// Operator-visible durability state of a store's WAL (surfaced through
-/// `StreamStats` and the server STATS payload): whether a log is
+/// Operator-visible durability state of a store's WAL (read by
+/// `ShardedHybridStore::wal_health` and surfaced in the server STATS
+/// payload): whether a log is
 /// attached, whether it is poisoned (a failed append rejects all later
 /// appends until a checkpoint heals it), and how many appends have
 /// failed since attach — including rejections by an already-poisoned
