@@ -237,8 +237,8 @@ impl FeedState {
                 .register_query(id.clone(), &text, options)
                 .is_err()
             {
-                // The text registered once; a parse failure now means the
-                // spec is stale garbage — drop the subscription.
+                // The text registered once; a refusal now means the spec
+                // is stale garbage — drop the subscription.
                 self.specs.remove(&id);
                 self.subs.remove(&id);
                 continue;

@@ -374,6 +374,32 @@ fn repeated_queries_hit_the_plan_cache_with_zero_parsing() {
     server.join();
 }
 
+/// A SUBSCRIBE with a variable predicate gets ERR and registers
+/// nothing. Were it registered, every later tick would apply its batch
+/// but fail the query evaluation: riders told their ingest failed, no
+/// snapshot published. Other clients' writes must commit as usual.
+#[test]
+fn variable_predicate_subscribe_is_refused_and_ingest_commits() {
+    let store = ShardedHybridStore::build(&water_ontology(), &Graph::new(), 2).unwrap();
+    let server = Server::start(store, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let opts = QueryOptions::default();
+    let mut sub = Client::connect(server.addr()).unwrap();
+    assert!(sub
+        .subscribe("bad", "SELECT ?s ?p ?o WHERE { ?s ?p ?o }", &opts)
+        .is_err());
+    let mut c = Client::connect(server.addr()).unwrap();
+    let ack = c
+        .ingest(&partition_batch(0, 0, PER_BATCH), &Graph::new())
+        .unwrap();
+    assert_eq!(ack.epoch, 1);
+    let rows = c.query(&partition_query(0), &opts).unwrap();
+    assert_eq!(rows.epoch, 1);
+    assert_eq!(rows.results.len(), PER_BATCH);
+    drop(sub);
+    c.shutdown().unwrap();
+    server.join();
+}
+
 /// The client's opt-in read timeout: waiting for a push that never
 /// comes fails with a typed, retryable timeout instead of blocking
 /// forever — and the connection stays fully usable afterwards.

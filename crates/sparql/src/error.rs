@@ -48,6 +48,16 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
+impl QueryError {
+    /// The refusal of a variable in predicate position: no plan step can
+    /// match one (§5.1 fixes every predicate of the target fragment).
+    pub fn variable_predicate() -> Self {
+        QueryError::Unsupported(
+            "variable predicates are outside SuccinctEdge's target fragment (§5.1)".to_string(),
+        )
+    }
+}
+
 impl From<SparqlParseError> for QueryError {
     fn from(e: SparqlParseError) -> Self {
         QueryError::Parse(e)

@@ -2,16 +2,18 @@
 //! options, the answer set, and the one triple-pattern matcher.
 //!
 //! [`execute`] compiles a query into a [`crate::ir`] plan and runs it.
-//! Each plan step matches one TP with [`eval_pattern`] in the order
+//! Each plan step matches one TP with `eval_pattern` in the order
 //! Algorithm 1 chose, propagating variable bindings from one TP to the
 //! next ("one of our joining approaches amounts to propagate variable
 //! assignments from one TP to another"). When the current intermediate
 //! relation is joined through its subject against a fresh `(?s, p, ?o)` /
 //! `(?s, p, o)` pattern, the PSO order of the layers makes both sides
 //! subject-sorted and a **merge join** replaces the per-row lookups
-//! (§5.2, Figure 7); otherwise index-nested-loop propagation is used. The
-//! continuous queries' delta rule (`se-stream::incremental`) extends its
-//! rows with the same matcher.
+//! (§5.2, Figure 7); otherwise index-nested-loop propagation is used.
+//! The continuous queries' delta rule ([`crate::ir::execute_plan_delta`])
+//! joins against the store with the same matcher, and matches the
+//! batch's own triples with `match_triple`, which resolves predicates
+//! and concepts the same way.
 //!
 //! With reasoning enabled, constant concepts and properties evaluate
 //! through their LiteMat intervals — no materialization, no UNION
@@ -23,7 +25,7 @@ use crate::expr::{Env, EvalValue};
 use crate::ir::{compile, execute_plan, normalize};
 use se_core::{TripleSource, Value};
 use se_litemat::IdInterval;
-use se_rdf::Term;
+use se_rdf::{Term, Triple};
 use std::collections::HashMap;
 
 /// Execution options (the ablation switches of the benchmark suite).
@@ -87,17 +89,17 @@ impl ResultSet {
 }
 
 /// A slot of the intermediate relation: an encoded store value, or a term
-/// computed by BIND (or seeded from a delta triple whose term no longer
-/// resolves in the store — see `se-stream::incremental`).
+/// computed by BIND (or a literal object bound from a delta triple — see
+/// [`match_triple`]).
 #[derive(Debug, Clone)]
-pub enum Slot {
+pub(crate) enum Slot {
     Enc(Value),
     Term(Term),
 }
 
 /// One row of the intermediate relation; positions follow the group's
 /// column layout (see [`group_var_index`]).
-pub type Row = Vec<Option<Slot>>;
+pub(crate) type Row = Vec<Option<Slot>>;
 
 /// Executes a parsed query: an uncached [`compile`] followed by
 /// [`execute_plan`], the one executor every query entry point runs.
@@ -112,7 +114,7 @@ pub fn execute<S: TripleSource + ?Sized>(
 }
 
 /// Decodes one intermediate-relation slot back to an RDF term.
-pub fn slot_to_term<S: TripleSource + ?Sized>(store: &S, slot: &Slot) -> Term {
+pub(crate) fn slot_to_term<S: TripleSource + ?Sized>(store: &S, slot: &Slot) -> Term {
     match slot {
         Slot::Enc(v) => store
             .value_to_term(*v)
@@ -122,10 +124,9 @@ pub fn slot_to_term<S: TripleSource + ?Sized>(store: &S, slot: &Slot) -> Term {
 }
 
 /// The column layout of one group's intermediate relation: TP variables
-/// in first-occurrence order, then BIND variables. Shared by the compiled
-/// plan and `se-stream`'s incremental delta evaluator, so both build rows
-/// with identical shapes.
-pub fn group_var_index(group: &GroupPattern) -> HashMap<&str, usize> {
+/// in first-occurrence order, then BIND variables (the compiled plan's
+/// `BeginGroup` columns).
+pub(crate) fn group_var_index(group: &GroupPattern) -> HashMap<&str, usize> {
     let mut var_index: HashMap<&str, usize> = HashMap::new();
     for tp in &group.patterns {
         for v in tp.variables() {
@@ -142,7 +143,7 @@ pub fn group_var_index(group: &GroupPattern) -> HashMap<&str, usize> {
 
 /// Builds the expression environment of one intermediate row, for the
 /// plan's BIND and FILTER steps.
-pub fn row_env<'a, S: TripleSource + ?Sized>(
+pub(crate) fn row_env<'a, S: TripleSource + ?Sized>(
     store: &S,
     row: &Row,
     var_index: &HashMap<&'a str, usize>,
@@ -225,7 +226,7 @@ fn pos_subject_id<S: TripleSource + ?Sized>(store: &S, pos: &Pos) -> Option<u64>
 }
 
 /// How a constant predicate evaluates.
-pub enum PSpec {
+pub(crate) enum PSpec {
     /// One property id.
     Exact(u64),
     /// A LiteMat subproperty interval.
@@ -236,7 +237,11 @@ pub enum PSpec {
 
 /// Resolves a constant predicate IRI: its LiteMat interval with reasoning
 /// on, its exact id with reasoning off.
-pub fn predicate_spec<S: TripleSource + ?Sized>(store: &S, iri: &str, reasoning: bool) -> PSpec {
+pub(crate) fn predicate_spec<S: TripleSource + ?Sized>(
+    store: &S,
+    iri: &str,
+    reasoning: bool,
+) -> PSpec {
     if reasoning {
         match store.property_interval(iri) {
             Some(iv) if iv.is_singleton() => PSpec::Exact(iv.lower),
@@ -253,7 +258,7 @@ pub fn predicate_spec<S: TripleSource + ?Sized>(store: &S, iri: &str, reasoning:
 
 /// Resolves a constant concept IRI to the id interval it matches: the
 /// LiteMat subclass interval with reasoning on, a singleton otherwise.
-pub fn concept_spec<S: TripleSource + ?Sized>(
+pub(crate) fn concept_spec<S: TripleSource + ?Sized>(
     store: &S,
     iri: &str,
     reasoning: bool,
@@ -270,9 +275,9 @@ pub fn concept_spec<S: TripleSource + ?Sized>(
 
 /// Joins one triple pattern against the store, propagating the bindings
 /// of `rows` (index nested loop, or a merge join when the fast-path
-/// conditions of §5.2 hold). This is the pattern-matching entry point the
-/// incremental evaluator reuses to extend delta-seeded partial rows.
-pub fn eval_pattern<S: TripleSource + ?Sized>(
+/// conditions of §5.2 hold). Every plan step that touches the store
+/// matches through here, on the full and on the delta path.
+pub(crate) fn eval_pattern<S: TripleSource + ?Sized>(
     store: &S,
     tp: &TriplePattern,
     rows: Vec<Row>,
@@ -280,9 +285,7 @@ pub fn eval_pattern<S: TripleSource + ?Sized>(
     options: &QueryOptions,
 ) -> Result<Vec<Row>, QueryError> {
     let TermPattern::Term(Term::Iri(p_iri)) = &tp.predicate else {
-        return Err(QueryError::Unsupported(
-            "variable predicates are outside SuccinctEdge's target fragment (§5.1)".to_string(),
-        ));
+        return Err(QueryError::variable_predicate());
     };
     if tp.is_type_pattern() {
         return eval_type_pattern(store, tp, rows, vars, options);
@@ -371,6 +374,95 @@ pub fn eval_pattern<S: TripleSource + ?Sized>(
         }
     }
     Ok(out)
+}
+
+/// Extends `row` with the bindings of one ground triple matched against
+/// pattern `tp`, or `None` if they disagree: [`eval_pattern`]'s
+/// counterpart for the delta rule, matching a batch's captured triple
+/// instead of the store. Predicates and `rdf:type` concepts resolve
+/// through [`predicate_spec`] / [`concept_spec`] as on the store side, so
+/// a triple matches every pattern its sub-property / sub-class closure
+/// reaches. Every term of a captured triple resolves in the store it was
+/// captured on; literal objects bind as terms.
+pub(crate) fn match_triple<S: TripleSource + ?Sized>(
+    store: &S,
+    tp: &TriplePattern,
+    t: &Triple,
+    row: &Row,
+    vars: &HashMap<&str, usize>,
+    reasoning: bool,
+) -> Option<Row> {
+    let TermPattern::Term(Term::Iri(p_iri)) = &tp.predicate else {
+        return None;
+    };
+    // The object's slot to bind; `None` once a constant concept has
+    // matched through its interval (a textual comparison would miss
+    // subclasses).
+    let object = if tp.is_type_pattern() {
+        if !t.is_type_triple() {
+            return None;
+        }
+        let c = store.concept_id(t.object.as_iri()?)?;
+        match &tp.object {
+            TermPattern::Term(Term::Iri(c_iri)) => {
+                if !concept_spec(store, c_iri, reasoning)?.contains(c) {
+                    return None;
+                }
+                None
+            }
+            _ => Some(Slot::Enc(Value::Concept(c))),
+        }
+    } else {
+        if t.is_type_triple() {
+            return None;
+        }
+        let p = store.property_id(t.predicate.as_iri()?)?;
+        match predicate_spec(store, p_iri, reasoning) {
+            PSpec::Exact(q) if p == q => {}
+            PSpec::Interval(iv) if iv.contains(p) => {}
+            _ => return None,
+        }
+        Some(match &t.object {
+            Term::Literal(_) => Slot::Term(t.object.clone()),
+            o => Slot::Enc(Value::Instance(store.instance_id(o)?)),
+        })
+    };
+    let subject = Slot::Enc(Value::Instance(store.instance_id(&t.subject)?));
+    let mut row = row.clone();
+    if !bind_triple_term(store, &mut row, &tp.subject, subject, &t.subject, vars) {
+        return None;
+    }
+    if let Some(slot) = object {
+        if !bind_triple_term(store, &mut row, &tp.object, slot, &t.object, vars) {
+            return None;
+        }
+    }
+    Some(row)
+}
+
+/// Binds one pattern position to a triple's term: a constant must equal
+/// it, a free variable takes `slot`, a bound one must decode to it.
+fn bind_triple_term<S: TripleSource + ?Sized>(
+    store: &S,
+    row: &mut Row,
+    pat: &TermPattern,
+    slot: Slot,
+    term: &Term,
+    vars: &HashMap<&str, usize>,
+) -> bool {
+    match pat {
+        TermPattern::Term(c) => c == term,
+        TermPattern::Var(v) => {
+            let col = vars[v.as_str()];
+            match &row[col] {
+                None => {
+                    row[col] = Some(slot);
+                    true
+                }
+                Some(bound) => slot_to_term(store, bound) == *term,
+            }
+        }
+    }
 }
 
 fn subjects_for<S: TripleSource + ?Sized>(store: &S, spec: &PSpec, o_pos: &Pos) -> Vec<u64> {

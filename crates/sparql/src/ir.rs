@@ -30,20 +30,24 @@
 //! [`execute_plan`] is the one executor: the uncached
 //! [`exec::execute`](crate::exec::execute) compiles and runs a plan too,
 //! so a cached and an uncached run of a query differ only in what they
-//! skip, never in how they match. Pattern matching itself is
-//! [`exec::eval_pattern`], the matcher the delta rule of
-//! `se-stream::incremental` shares.
+//! skip, never in how they match. [`execute_plan_delta`] runs the
+//! continuous queries' delta rule over the same steps: the same column
+//! layout, join order, constant binding and projection, and the same
+//! store matcher; only the batch's own triples go through the
+//! delta-triple matcher beside it.
 
 use crate::ast::{Expr, Query, TermPattern, TriplePattern};
 use crate::error::QueryError;
 use crate::exec::{
-    eval_pattern, group_var_index, row_env, slot_to_term, QueryOptions, ResultSet, Row, Slot,
+    eval_pattern, group_var_index, match_triple, row_env, slot_to_term, QueryOptions, ResultSet,
+    Row, Slot,
 };
 use crate::expr::eval;
 use crate::optimizer::order_patterns;
 use crate::parser::parse_query;
 use se_core::TripleSource;
-use se_rdf::Term;
+use se_rdf::{Term, Triple};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -332,13 +336,7 @@ fn execute_plan_inner<S: TripleSource + ?Sized>(
     options: &QueryOptions,
     mut trace: Option<&mut PlanTrace>,
 ) -> Result<ResultSet, QueryError> {
-    if consts.len() != plan.n_slots {
-        return Err(QueryError::Unsupported(format!(
-            "plan expects {} bound constants, got {}",
-            plan.n_slots,
-            consts.len()
-        )));
-    }
+    check_arity(plan, consts)?;
     let mut emitted: Vec<Vec<Option<Term>>> = Vec::new();
     let mut work: Vec<Row> = Vec::new();
     let mut vars_map: HashMap<&str, usize> = HashMap::new();
@@ -346,11 +344,7 @@ fn execute_plan_inner<S: TripleSource + ?Sized>(
         match step {
             PlanStep::BeginGroup { n_cols, vars } => {
                 work = vec![vec![None; *n_cols]];
-                vars_map = vars
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| (v.as_str(), i))
-                    .collect();
+                vars_map = column_index(vars);
             }
             PlanStep::Pattern {
                 tp,
@@ -363,26 +357,13 @@ fn execute_plan_inner<S: TripleSource + ?Sized>(
                 if work.is_empty() {
                     continue;
                 }
-                let bound;
-                let tp_ref = if s_slot.is_some() || o_slot.is_some() {
-                    let mut t = tp.clone();
-                    if let Some(k) = s_slot {
-                        t.subject = TermPattern::Term(consts[*k].clone());
-                    }
-                    if let Some(k) = o_slot {
-                        t.object = TermPattern::Term(consts[*k].clone());
-                    }
-                    bound = t;
-                    &bound
-                } else {
-                    tp
-                };
+                let tp = bind_constants(tp, *s_slot, *o_slot, consts);
                 let rows_in = work.len();
-                work = eval_pattern(store, tp_ref, std::mem::take(&mut work), &vars_map, options)?;
+                work = eval_pattern(store, &tp, std::mem::take(&mut work), &vars_map, options)?;
                 if let Some(tr) = trace.as_deref_mut() {
                     tr.steps.push(StepTrace {
                         src: *src,
-                        pattern: tp_ref.to_string(),
+                        pattern: tp.to_string(),
                         rows_in,
                         rows_out: work.len(),
                     });
@@ -403,20 +384,11 @@ fn execute_plan_inner<S: TripleSource + ?Sized>(
                 });
             }
             PlanStep::Project { cols } => {
-                for row in work.drain(..) {
-                    emitted.push(
-                        cols.iter()
-                            .map(|c| {
-                                c.and_then(|i| row[i].as_ref())
-                                    .map(|slot| slot_to_term(store, slot))
-                            })
-                            .collect(),
-                    );
-                }
+                emitted.extend(work.drain(..).map(|row| project(store, &row, cols)));
             }
             PlanStep::Distinct => {
                 let mut seen = HashSet::new();
-                emitted.retain(|r| seen.insert(format!("{r:?}")));
+                emitted.retain(|r| seen.insert(r.clone()));
             }
             PlanStep::Limit { n } => emitted.truncate(*n),
         }
@@ -425,6 +397,195 @@ fn execute_plan_inner<S: TripleSource + ?Sized>(
         variables: plan.out_vars.clone(),
         rows: emitted,
     })
+}
+
+/// Runs the continuous queries' delta rule over a compiled plan: the
+/// signed change of each projected row's derivation count between the
+/// store before and after one batch, given the batch's net `added` and
+/// `removed` triples and the post-batch `store`.
+///
+/// For a group `O_1 ⋈ … ⋈ O_n` (in the plan's join order) the change
+/// telescopes into one term per pivot pattern `k`:
+///
+/// ```text
+/// ΔQ = Σ_k  O_1^old ⋈ … ⋈ O_{k-1}^old  ⋈  Δ_k  ⋈  O_{k+1}^new ⋈ … ⋈ O_n^new
+/// ```
+///
+/// `Δ_k` is the batch's triples matching pattern `k` (+1 added, −1
+/// removed); the suffix joins the post-batch store through the same
+/// matcher as [`execute_plan`]; the old-state prefix is computed by
+/// compensation, `rows ⋈ O_j^old = rows ⋈ O_j^new − rows ⋈ A_j + rows
+/// ⋈ R_j`. The plan must be a bag-semantics BGP: a `Bind`, `Filter`,
+/// `Distinct` or `Limit` step is refused.
+pub fn execute_plan_delta<S: TripleSource + ?Sized>(
+    store: &S,
+    plan: &CompiledPlan,
+    consts: &[Term],
+    added: &[Triple],
+    removed: &[Triple],
+    options: &QueryOptions,
+) -> Result<HashMap<Vec<Option<Term>>, i64>, QueryError> {
+    check_arity(plan, consts)?;
+    let mut updates: HashMap<Vec<Option<Term>>, i64> = HashMap::new();
+    let mut vars_map: HashMap<&str, usize> = HashMap::new();
+    let mut n_cols = 0;
+    let mut patterns: Vec<Cow<'_, TriplePattern>> = Vec::new();
+    for step in &plan.steps {
+        match step {
+            PlanStep::BeginGroup { n_cols: n, vars } => {
+                n_cols = *n;
+                vars_map = column_index(vars);
+                patterns.clear();
+            }
+            PlanStep::Pattern {
+                tp, s_slot, o_slot, ..
+            } => patterns.push(bind_constants(tp, *s_slot, *o_slot, consts)),
+            PlanStep::Project { cols } => {
+                let [plus, minus] =
+                    delta_terms(store, &patterns, n_cols, &vars_map, added, removed, options)?;
+                for (rows, sign) in [(plus, 1), (minus, -1)] {
+                    for row in rows {
+                        *updates.entry(project(store, &row, cols)).or_insert(0) += sign;
+                    }
+                }
+            }
+            PlanStep::Bind { .. }
+            | PlanStep::Filter { .. }
+            | PlanStep::Distinct
+            | PlanStep::Limit { .. } => {
+                return Err(QueryError::Unsupported(
+                    "the delta rule covers bag-semantics basic graph patterns only".to_string(),
+                ))
+            }
+        }
+    }
+    updates.retain(|_, w| *w != 0);
+    Ok(updates)
+}
+
+/// One group's delta-rule terms, as the rows derived with sign +1 and
+/// those derived with sign −1. Every derivation weighs ±1: a pivot row
+/// takes its triple's sign, a store join keeps it, and a compensation
+/// join flips it for an added triple and keeps it for a removed one.
+fn delta_terms<S: TripleSource + ?Sized>(
+    store: &S,
+    patterns: &[Cow<'_, TriplePattern>],
+    n_cols: usize,
+    vars: &HashMap<&str, usize>,
+    added: &[Triple],
+    removed: &[Triple],
+    options: &QueryOptions,
+) -> Result<[Vec<Row>; 2], QueryError> {
+    let empty: Row = vec![None; n_cols];
+    // Per pattern: the batch triples it matches on its own, each with its
+    // side (0 added, 1 removed) and pivot row. A triple no pattern takes
+    // alone extends no partial row either.
+    let pivots: Vec<Vec<(usize, &Triple, Row)>> = patterns
+        .iter()
+        .map(|tp| {
+            [added, removed]
+                .into_iter()
+                .enumerate()
+                .flat_map(|(side, list)| list.iter().map(move |t| (side, t)))
+                .filter_map(|(side, t)| {
+                    match_triple(store, tp, t, &empty, vars, options.reasoning)
+                        .map(|row| (side, t, row))
+                })
+                .collect()
+        })
+        .collect();
+    let join = |tp: &TriplePattern, rows: Vec<Row>| {
+        if rows.is_empty() {
+            Ok(rows)
+        } else {
+            eval_pattern(store, tp, rows, vars, options)
+        }
+    };
+    let mut out: [Vec<Row>; 2] = Default::default();
+    for (k, pivot) in pivots.iter().enumerate() {
+        let mut rows: [Vec<Row>; 2] = Default::default();
+        for (side, _, row) in pivot {
+            rows[*side].push(row.clone());
+        }
+        // New-state suffix: the patterns after k against the store.
+        for tp in &patterns[k + 1..] {
+            for part in &mut rows {
+                *part = join(tp, std::mem::take(part))?;
+            }
+        }
+        // Old-state prefix: the patterns before k as new − added + removed.
+        for (j, tp) in patterns[..k].iter().enumerate() {
+            let mut next = [join(tp, rows[0].clone())?, join(tp, rows[1].clone())?];
+            for (side, t, _) in &pivots[j] {
+                for (sign, part) in rows.iter().enumerate() {
+                    let to = if *side == 0 { 1 - sign } else { sign };
+                    next[to].extend(part.iter().filter_map(|row| {
+                        match_triple(store, tp, t, row, vars, options.reasoning)
+                    }));
+                }
+            }
+            rows = next;
+        }
+        for (o, part) in out.iter_mut().zip(rows) {
+            o.extend(part);
+        }
+    }
+    Ok(out)
+}
+
+fn check_arity(plan: &CompiledPlan, consts: &[Term]) -> Result<(), QueryError> {
+    if consts.len() == plan.n_slots {
+        return Ok(());
+    }
+    Err(QueryError::Unsupported(format!(
+        "plan expects {} bound constants, got {}",
+        plan.n_slots,
+        consts.len()
+    )))
+}
+
+/// A `BeginGroup`'s column names as a name → column map.
+fn column_index(vars: &[String]) -> HashMap<&str, usize> {
+    vars.iter()
+        .enumerate()
+        .map(|(i, v)| (v.as_str(), i))
+        .collect()
+}
+
+/// A `Pattern` step's template with the caller's constants bound into
+/// its hollowed slots (borrowed as is when nothing is hollowed).
+fn bind_constants<'a>(
+    tp: &'a TriplePattern,
+    s_slot: Option<usize>,
+    o_slot: Option<usize>,
+    consts: &[Term],
+) -> Cow<'a, TriplePattern> {
+    if s_slot.is_none() && o_slot.is_none() {
+        return Cow::Borrowed(tp);
+    }
+    let mut t = tp.clone();
+    if let Some(k) = s_slot {
+        t.subject = TermPattern::Term(consts[k].clone());
+    }
+    if let Some(k) = o_slot {
+        t.object = TermPattern::Term(consts[k].clone());
+    }
+    Cow::Owned(t)
+}
+
+/// A `Project` step's output row: `cols[i]` is the source column of
+/// output variable `i`.
+fn project<S: TripleSource + ?Sized>(
+    store: &S,
+    row: &Row,
+    cols: &[Option<usize>],
+) -> Vec<Option<Term>> {
+    cols.iter()
+        .map(|c| {
+            c.and_then(|i| row[i].as_ref())
+                .map(|slot| slot_to_term(store, slot))
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------- cache
@@ -601,7 +762,7 @@ impl PlanCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let query = parse_query(text)?;
-        let (plan, consts) = self.plan_for(store, &query, options, bits);
+        let (plan, consts, _) = self.plan_for(store, &query, options, bits);
         let consts = Arc::new(consts);
         {
             let mut inner = self.inner.lock().unwrap();
@@ -619,50 +780,44 @@ impl PlanCache {
         execute_plan(store, &plan, &consts, options)
     }
 
-    /// Executes an already-parsed query through the shape-level cache —
-    /// the registry path, where continuous queries hold their AST and
-    /// structurally identical queries should share one seeded plan.
+    /// Executes an already-parsed query through [`PlanCache::shape_plan`].
     pub fn execute_ast<S: TripleSource + ?Sized>(
         &self,
         store: &S,
         query: &Query,
         options: &QueryOptions,
     ) -> Result<ResultSet, QueryError> {
-        let bits = options_bits(options);
-        let (shape, consts) = normalize(query);
-        let cached = {
-            let mut inner = self.inner.lock().unwrap();
-            let tick = inner.touch();
-            inner
-                .plans
-                .get_mut(&bits)
-                .and_then(|m| m.get_mut(&shape))
-                .map(|e| {
-                    e.last_used = tick;
-                    e.plan.clone()
-                })
-        };
-        let plan = match cached {
-            Some(plan) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.recost_if_stale(store, plan, options, bits, None)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.compile_and_insert(store, query, options, bits)
-            }
-        };
+        let (plan, consts) = self.shape_plan(store, query, options);
         execute_plan(store, &plan, &consts, options)
     }
 
-    /// Shape-level lookup-or-compile for a freshly parsed query.
+    /// The shape-level plan of an already-parsed query — compiled on the
+    /// shape's first sight, re-costed when stale, counted as a hit or a
+    /// miss — with the query's own constants to bind into it. The
+    /// registry path: continuous queries hold their AST, and queries of
+    /// one shape share one plan for seeding, fallback and delta
+    /// evaluations alike.
+    pub fn shape_plan<S: TripleSource + ?Sized>(
+        &self,
+        store: &S,
+        query: &Query,
+        options: &QueryOptions,
+    ) -> (Arc<CompiledPlan>, Vec<Term>) {
+        let (plan, consts, hit) = self.plan_for(store, query, options, options_bits(options));
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        (plan, consts)
+    }
+
+    /// Shape-level lookup-or-compile; the flag tells whether the shape
+    /// was cached.
     fn plan_for<S: TripleSource + ?Sized>(
         &self,
         store: &S,
         query: &Query,
         options: &QueryOptions,
         bits: u8,
-    ) -> (Arc<CompiledPlan>, Vec<Term>) {
+    ) -> (Arc<CompiledPlan>, Vec<Term>, bool) {
         let (shape, consts) = normalize(query);
         let cached = {
             let mut inner = self.inner.lock().unwrap();
@@ -676,11 +831,11 @@ impl PlanCache {
                     e.plan.clone()
                 })
         };
-        let plan = match cached {
-            Some(plan) => self.recost_if_stale(store, plan, options, bits, None),
-            None => self.compile_and_insert(store, query, options, bits),
+        let (plan, hit) = match cached {
+            Some(plan) => (self.recost_if_stale(store, plan, options, bits, None), true),
+            None => (self.compile_and_insert(store, query, options, bits), false),
         };
-        (plan, consts)
+        (plan, consts, hit)
     }
 
     fn compile_and_insert<S: TripleSource + ?Sized>(

@@ -5,7 +5,10 @@
 //! left-deep executor that translates triple patterns into the store's SDS
 //! operations. Every query runs as a compiled plan ([`ir`]):
 //! [`execute_query`] compiles one per call, [`execute_query_cached`] and
-//! [`PlanCache`] reuse one across the queries of a shape.
+//! [`PlanCache`] reuse one across the queries of a shape, and a
+//! continuous query's per-batch delta rule walks the same plan
+//! ([`ir::execute_plan_delta`]). The matcher behind every plan step
+//! stays inside this crate.
 //!
 //! Supported SPARQL: `PREFIX`, `SELECT` (with `*`, `DISTINCT`, `LIMIT`),
 //! basic graph patterns with `;`/`,` continuations and the `a` keyword,

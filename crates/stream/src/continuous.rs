@@ -18,10 +18,9 @@ use crate::runtime::ShardRuntime;
 use crate::shard::{BatchDelta, IngestReport, ShardedHybridStore};
 use crate::wal::WalRecord;
 use se_core::TripleSource;
-use se_rdf::Graph;
-use se_sparql::ast::Query;
-use se_sparql::error::{QueryError, SparqlParseError};
-use se_sparql::{parse_query, PlanCache, QueryOptions, ResultSet};
+use se_rdf::{Graph, Term};
+use se_sparql::ast::{Query, TermPattern};
+use se_sparql::{parse_query, PlanCache, QueryError, QueryOptions, ResultSet};
 use std::sync::Arc;
 
 /// The batch — `(inserts, deletes)` — that a WAL record replays as on a
@@ -127,11 +126,11 @@ impl ContinuousResult {
 pub struct ContinuousQueryRegistry {
     queries: Vec<ContinuousQuery>,
     emit_full: bool,
-    /// Shared compiled-plan cache: seeding and full-fallback evaluations
-    /// go through it (shape-level reuse across queries and with the
-    /// server's QUERY path), so a re-registered or same-shape query
-    /// skips optimize entirely. `None` compiles a fresh plan for every
-    /// such evaluation.
+    /// Shared compiled-plan cache: every evaluation — seeding, delta and
+    /// full fallback — takes its plan from it (shape-level reuse across
+    /// queries and with the server's QUERY path), so a re-registered or
+    /// same-shape query skips optimize entirely. `None` compiles a fresh
+    /// plan for every evaluation.
     plan_cache: Option<Arc<PlanCache>>,
 }
 
@@ -156,15 +155,26 @@ impl ContinuousQueryRegistry {
     /// query and drops its materialized state; the next evaluation
     /// seeds afresh from the store (mid-stream registrations therefore
     /// pick up all pre-existing state). Deltas the store captured while
-    /// the query was unregistered are irrelevant by construction.
+    /// the query was unregistered are irrelevant by construction. A
+    /// query with a variable predicate is refused
+    /// ([`QueryError::Unsupported`]): it could never be answered, and
+    /// registering it would fail every later batch.
     pub fn register(
         &mut self,
         id: impl Into<String>,
         text: &str,
         options: QueryOptions,
-    ) -> Result<(), SparqlParseError> {
+    ) -> Result<(), QueryError> {
         let id = id.into();
         let query = parse_query(text)?;
+        let variable_predicate = query
+            .groups
+            .iter()
+            .flat_map(|g| &g.patterns)
+            .any(|tp| !matches!(tp.predicate, TermPattern::Term(Term::Iri(_))));
+        if variable_predicate {
+            return Err(QueryError::variable_predicate());
+        }
         self.queries.retain(|q| q.id != id);
         let strategy = choose_strategy(&query);
         self.queries.push(ContinuousQuery {
@@ -240,9 +250,9 @@ impl ContinuousQueryRegistry {
         self.emit_full = on;
     }
 
-    /// Routes seeding and full-fallback evaluations through `cache`
-    /// (shared with other consumers — e.g. the server's QUERY path).
-    /// The delta path is unaffected: it never re-plans.
+    /// Takes every evaluation's compiled plan — seeding, delta and full
+    /// fallback — from `cache` (shared with other consumers, e.g. the
+    /// server's QUERY path): queries of one shape share one plan.
     pub fn set_plan_cache(&mut self, cache: Arc<PlanCache>) {
         self.plan_cache = Some(cache);
     }
@@ -411,7 +421,8 @@ impl StreamSession {
         self.force_delta_capture = on;
     }
 
-    /// Parses and registers a continuous query. The next batch (or
+    /// Parses and registers a continuous query (see
+    /// [`ContinuousQueryRegistry::register`]). The next batch (or
     /// evaluation) seeds its materialized answers with one full run
     /// over the current store state.
     pub fn register_query(
@@ -419,7 +430,7 @@ impl StreamSession {
         id: impl Into<String>,
         text: &str,
         options: QueryOptions,
-    ) -> Result<(), SparqlParseError> {
+    ) -> Result<(), QueryError> {
         self.registry.register(id, text, options)
     }
 
@@ -503,7 +514,7 @@ mod tests {
     use super::*;
     use crate::shard::CompactionPolicy;
     use se_ontology::Ontology;
-    use se_rdf::{Term, Triple};
+    use se_rdf::Triple;
 
     fn iri(s: &str) -> Term {
         Term::iri(format!("http://x/{s}"))
@@ -585,6 +596,113 @@ mod tests {
             .register("bad", "SELECT WHERE {", QueryOptions::default())
             .is_err());
         assert!(reg.is_empty(), "failed registration leaves no residue");
+    }
+
+    /// A variable-predicate query is refused at registration: were it
+    /// registered, every later batch would fail after the store had
+    /// already applied it.
+    #[test]
+    fn variable_predicate_is_refused_and_later_batches_apply() {
+        let mut session = StreamSession::new(store_with([t("a", "knows", iri("b"))]));
+        let err = session
+            .register_query(
+                "bad",
+                "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
+                QueryOptions::default(),
+            )
+            .unwrap_err();
+        assert!(matches!(err, QueryError::Unsupported(_)), "{err}");
+        assert!(session.registry().is_empty());
+        let out = session
+            .apply_batch(
+                &Graph::from_triples([t("c", "knows", iri("d"))]),
+                &Graph::new(),
+            )
+            .unwrap();
+        assert!(out.results.is_empty());
+        assert_eq!(session.store().epoch(), 1);
+    }
+
+    /// Two incremental queries of one shape share one cached plan, and
+    /// the delta rule binds each query's own constant into it: a walk
+    /// that read the plan template's constant would hand station 2 the
+    /// changes of station 1.
+    #[test]
+    fn same_shape_delta_evaluations_bind_their_own_constants() {
+        const HOSTS: &str = "http://www.w3.org/ns/sosa/hosts";
+        let query = |st: usize| {
+            format!("SELECT ?o WHERE {{ <http://example.org/station/{st}> <{HOSTS}> ?o }}")
+        };
+        let hosts = |st: usize, sensor: &str| {
+            Triple::new(
+                Term::iri(format!("http://example.org/station/{st}")),
+                Term::iri(HOSTS),
+                iri(sensor),
+            )
+        };
+        let mut onto = Ontology::new();
+        onto.add_object_property(HOSTS);
+        let store = ShardedHybridStore::build(
+            &onto,
+            &Graph::from_triples([hosts(1, "s0"), hosts(2, "s1")]),
+            1,
+        )
+        .unwrap();
+        let mut session = StreamSession::new(store);
+        let cache = Arc::new(PlanCache::new());
+        session.registry_mut().set_plan_cache(cache.clone());
+        for st in [1, 2] {
+            session
+                .register_query(format!("st{st}"), &query(st), QueryOptions::default())
+                .unwrap();
+        }
+        let batches = [
+            (vec![], vec![]),
+            (vec![hosts(1, "s2")], vec![]),
+            (vec![hosts(2, "s3"), hosts(2, "s4")], vec![hosts(1, "s0")]),
+            (vec![hosts(1, "s5")], vec![hosts(2, "s1"), hosts(2, "s3")]),
+            (vec![hosts(2, "s0"), hosts(1, "s1")], vec![hosts(1, "s2")]),
+        ];
+        let sorted = |rows: &[Vec<Option<Term>>]| {
+            let mut v: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+            v.sort();
+            v
+        };
+        // Multiset difference of two sorted row lists.
+        let minus = |a: &[String], b: &[String]| {
+            let mut rest = b.to_vec();
+            a.iter()
+                .filter(|x| match rest.iter().position(|y| y == *x) {
+                    Some(i) => {
+                        rest.swap_remove(i);
+                        false
+                    }
+                    None => true,
+                })
+                .cloned()
+                .collect::<Vec<_>>()
+        };
+        let mut before = vec![Vec::new(); 2];
+        for (round, (inserts, deletes)) in batches.into_iter().enumerate() {
+            let out = session
+                .apply_batch(&Graph::from_triples(inserts), &Graph::from_triples(deletes))
+                .unwrap();
+            for (i, res) in out.results.iter().enumerate() {
+                let fresh = se_sparql::execute_query(
+                    session.store(),
+                    &query(i + 1),
+                    &QueryOptions::default(),
+                )
+                .unwrap();
+                let fresh = sorted(&fresh.rows);
+                assert_eq!(sorted(&res.results.rows), fresh, "round {round} {}", res.id);
+                assert_eq!(sorted(&res.added.rows), minus(&fresh, &before[i]));
+                assert_eq!(sorted(&res.removed.rows), minus(&before[i], &fresh));
+                assert_eq!(res.incremental, round > 0, "seeded once, then delta-served");
+                before[i] = fresh;
+            }
+            assert_eq!(cache.stats().compiles, 1, "one shape, one compile");
+        }
     }
 
     /// Continuous-query answers must be identical on the batch that

@@ -1164,7 +1164,7 @@ impl StreamSession {
         let mut session = StreamSession::new(store);
         for (id, text, options) in queries {
             session.register_query(&id, &text, options).map_err(|e| {
-                StreamError::Corrupt(format!("persisted query '{id}' no longer parses: {e}"))
+                StreamError::Corrupt(format!("persisted query '{id}' no longer registers: {e}"))
             })?;
         }
         Ok(session)
